@@ -245,10 +245,11 @@ def spcg(a: CSRMatrix, b: np.ndarray, *, preconditioner: str = "ilu0",
         ``"auto"`` — see :mod:`repro.precond.engine`).
     fault_plan:
         Optional :class:`repro.resilience.FaultPlan`; when given, its
-        matrix faults corrupt ``Â`` before factorization and its apply
-        faults wrap the preconditioner (scope key ``"spcg"``).  This is
-        the deterministic fault-injection hook — production solves leave
-        it ``None``.
+        matrix faults corrupt ``Â`` before factorization, its apply
+        faults wrap the preconditioner and its operator faults corrupt
+        the ``A`` the iteration multiplies by (scope key ``"spcg"``).
+        This is the deterministic fault-injection hook — production
+        solves leave it ``None``.
     cache:
         Forwarded to :func:`make_preconditioner`: ``None`` (default)
         uses the process-wide :class:`~repro.perf.cache.ArtifactCache`,
@@ -278,10 +279,12 @@ def spcg(a: CSRMatrix, b: np.ndarray, *, preconditioner: str = "ilu0",
                             pivot_boost=pivot_boost, precision=precision,
                             engine=engine, n_parts=n_parts, device=device,
                             cache=cache)
+    op = a
     if fault_plan is not None:
         m = fault_plan.wrap_preconditioner(m, "spcg")
+        op = fault_plan.corrupt_operator(a, "spcg")
     if precision != "mixed":
-        solve = pcg(a, b, m, criterion=criterion, x0=x0, callback=callback)
+        solve = pcg(op, b, m, criterion=criterion, x0=x0, callback=callback)
         return SPCGResult(solve=solve, decision=decision, preconditioner=m)
 
     # Mixed precision: float32 factors, float64 outer CG.  A residual
@@ -296,7 +299,7 @@ def spcg(a: CSRMatrix, b: np.ndarray, *, preconditioner: str = "ilu0",
         else StoppingCriterion.paper_default()
     floor = crit.threshold(float(np.linalg.norm(b)))
     guard = ResidualGuard(GuardConfig(floor=floor), chain=callback)
-    solve = pcg(a, b, m, criterion=crit, x0=x0, callback=guard)
+    solve = pcg(op, b, m, criterion=crit, x0=x0, callback=guard)
     solve.extra["precision"] = "mixed"
     if not solve.converged:
         mixed_iters = solve.n_iters
@@ -308,7 +311,8 @@ def spcg(a: CSRMatrix, b: np.ndarray, *, preconditioner: str = "ilu0",
         if fault_plan is not None:
             m = fault_plan.wrap_preconditioner(m, "spcg")
         x_warm = solve.x if np.all(np.isfinite(solve.x)) else x0
-        solve = pcg(a, b, m, criterion=crit, x0=x_warm, callback=callback)
+        solve = pcg(op, b, m, criterion=crit, x0=x_warm,
+                    callback=callback)
         solve.extra["precision"] = "mixed"
         solve.extra["mixed_fallback"] = True
         solve.extra["mixed_iterations"] = mixed_iters

@@ -7,10 +7,11 @@ executor strategies are provided, both inspector–executor pattern:
 * :class:`ScheduledTriangularSolver` — level scheduling: the inspector
   (:func:`repro.graph.level_schedule`) runs once per factor, the
   executor then performs **one segmented, fully-vectorized kernel per
-  wavefront** — the NumPy analogue of one CUDA kernel launch per level,
-  with the inter-level Python step standing in for the barrier
-  synchronization.  Fewer wavefronts therefore mean both fewer modeled
-  synchronizations *and* measurably less interpreter overhead.
+  wavefront** (a direct per-row ``bincount`` reduction) — the NumPy
+  analogue of one CUDA kernel launch per level, with the inter-level
+  Python step standing in for the barrier synchronization.  Fewer
+  wavefronts therefore mean both fewer modeled synchronizations *and*
+  measurably less interpreter overhead.
 * :class:`PartitionedTriangularSolver` — fine-grained domain
   decomposition (arXiv 2508.04917): the factor is fenced into ``P``
   independent diagonal sub-triangles solved concurrently (block-local
@@ -26,6 +27,7 @@ two from modeled cost.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from ..errors import NotTriangularError, ShapeError, SingularFactorError
 from ..graph.levels import LevelSchedule, level_schedule
 from ..graph.partition import RowPartition, partition_rows, split_partition
 from ..sparse.csr import CSRMatrix
-from ..util import segment_sum
+from ..util import segment_sum_by_id
 
 __all__ = [
     "solve_lower_sequential",
@@ -207,8 +209,9 @@ class ScheduledTriangularSolver:
     Notes
     -----
     Construction performs the inspector work once: it extracts the
-    off-diagonal entries grouped by wavefront, so that :meth:`solve` only
-    executes ``n_levels`` segmented gather/sum kernels.  The per-level
+    off-diagonal entries grouped by wavefront, together with each
+    entry's level-local row id, so that :meth:`solve` only executes
+    ``n_levels`` segmented gather/sum kernels.  The per-level
     row and nonzero counts are exposed via :meth:`kernel_profile` for the
     machine model.
     """
@@ -259,9 +262,9 @@ class ScheduledTriangularSolver:
             if np.any(bad):
                 row = int(np.flatnonzero(bad)[0])
                 raise _pivot_error(row, float(diag[row]), thr)
-            self._inv_diag = (1.0 / diag).astype(tri.dtype)
+            inv_diag = (1.0 / diag).astype(tri.dtype)
         else:
-            self._inv_diag = None
+            inv_diag = None
 
         # Off-diagonal entries compacted, then reordered into schedule order.
         off_cols = cols[off_mask]
@@ -283,19 +286,33 @@ class ScheduledTriangularSolver:
             take = np.empty(0, dtype=np.int64)
         self._gather_cols = off_cols[take]
         self._gather_vals = off_vals[take]
-        # Per-row segment pointers, in schedule order.
-        self._seg_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=self._seg_ptr[1:])
         self._rows = sched_rows
-        self._level_ptr = self.schedule.level_ptr
+        self._level_ptr = lp = self.schedule.level_ptr
+        level_sizes = np.diff(lp)
+        # Level-local row of every gathered entry: the segment ids each
+        # level's reduction bins its products by.  Stored as int32 —
+        # half the footprint of a cached solver's largest extra array;
+        # ``np.bincount`` widens each level's slice as it reads it.
+        local_row = (np.arange(n, dtype=np.int64)
+                     - np.repeat(lp[:-1], level_sizes))
+        id_dtype = np.int32 if n < 2 ** 31 else np.int64
+        self._seg_ids = np.repeat(local_row, lens).astype(id_dtype)
+        # Gathered entries before each level (level k owns entries
+        # ``_level_seg_ptr[k]:_level_seg_ptr[k + 1]``).
+        seg_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lens, out=seg_ptr[1:])
+        self._level_seg_ptr = seg_ptr[lp]
+        # Reciprocal pivots in schedule order, so a level scales by a
+        # slice rather than a gather.
+        self._sched_inv_diag = (None if inv_diag is None
+                                else inv_diag[sched_rows])
         # Scratch buffers for the float64 fast path, sized to the widest
         # wavefront.  Thread-local: cached solver instances are shared
         # across the parallel suite runner's workers, and concurrent
         # solves must not stomp each other's scratch space.
-        self._max_level_rows = (int(np.diff(self._level_ptr).max())
+        self._max_level_rows = (int(level_sizes.max())
                                 if self.n_levels else 0)
-        seg_at = self._seg_ptr[self._level_ptr]
-        self._max_level_nnz = (int(np.diff(seg_at).max())
+        self._max_level_nnz = (int(np.diff(self._level_seg_ptr).max())
                                if self.n_levels else 0)
         self._scratch = threading.local()
 
@@ -322,19 +339,39 @@ class ScheduledTriangularSolver:
         one diagonal operation per row.
         """
         rows_per_level = np.diff(self._level_ptr)
-        nnz_off = (self._seg_ptr[self._level_ptr[1:]]
-                   - self._seg_ptr[self._level_ptr[:-1]])
-        return rows_per_level, nnz_off + rows_per_level
+        return rows_per_level, np.diff(self._level_seg_ptr) + rows_per_level
 
-    def _buffers(self) -> tuple[np.ndarray, np.ndarray,
-                                np.ndarray, np.ndarray]:
-        """This thread's scratch (prod, csum, sums, acc), allocated once."""
+    # Derived, not stored: a cached solver keeps only the arrays its
+    # executor reads.
+    @property
+    def _seg_ptr(self) -> np.ndarray:
+        """Per-row segment pointers, in schedule order."""
+        pos = (np.repeat(self._level_ptr[:-1], np.diff(self._level_seg_ptr))
+               + self._seg_ids)
+        ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pos, minlength=self.n), out=ptr[1:])
+        return ptr
+
+    @property
+    def _inv_diag(self) -> np.ndarray | None:
+        """Reciprocal pivots indexed by row (``None`` for unit diagonal)."""
+        if self._sched_inv_diag is None:
+            return None
+        inv = np.empty_like(self._sched_inv_diag)
+        inv[self._rows] = self._sched_inv_diag
+        return inv
+
+    def _bounds(self) -> Iterator[tuple[int, int, int, int]]:
+        """Per-level ``(lo, hi, s0, s1)`` row and entry bounds as ints."""
+        lp, sp = self._level_ptr.tolist(), self._level_seg_ptr.tolist()
+        return zip(lp[:-1], lp[1:], sp[:-1], sp[1:])
+
+    def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """This thread's scratch (prod, acc), allocated once."""
         s = self._scratch
         bufs = getattr(s, "bufs", None)
         if bufs is None:
             bufs = (np.empty(self._max_level_nnz, dtype=np.float64),
-                    np.empty(self._max_level_nnz + 1, dtype=np.float64),
-                    np.empty(self._max_level_rows, dtype=np.float64),
                     np.empty(self._max_level_rows, dtype=np.float64))
             s.bufs = bufs
         return bufs
@@ -344,10 +381,13 @@ class ScheduledTriangularSolver:
               ) -> np.ndarray:
         """Solve the triangular system for right-hand side *b*.
 
-        Executes one vectorized segmented kernel per wavefront.  When
-        everything is float64 (the common case) the per-level gather,
-        product, prefix sum, and subtraction all run into preallocated
-        scratch buffers — zero allocations inside the wavefront loop.
+        Executes one vectorized segmented kernel per wavefront: gather
+        ``b`` and ``x``, multiply, reduce each row's products directly
+        with :func:`~repro.util.segment_sum_by_id`, subtract, scale,
+        scatter.  When everything is float64 (the common case) the
+        gathers and products run into preallocated scratch buffers and
+        the reduction calls ``np.bincount`` itself — the same
+        arithmetic, so both paths agree bitwise.
 
         *b* may also be an ``(n, B)`` block of right-hand sides; the same
         ``n_levels`` wavefront sweeps then serve all ``B`` columns at
@@ -364,18 +404,15 @@ class ScheduledTriangularSolver:
         x = out if out is not None else np.empty(self.n, dtype=dtype)
         if x.shape != (self.n,):
             raise ShapeError(f"out must have shape ({self.n},)")
-        rows, seg_ptr = self._rows, self._seg_ptr
+        rows, seg_ids = self._rows, self._seg_ids
         gcols, gvals = self._gather_cols, self._gather_vals
-        lp = self._level_ptr
-        inv_diag = self._inv_diag
+        inv_diag = self._sched_inv_diag
         fast = (dtype == np.float64 and x.dtype == np.float64
                 and gvals.dtype == np.float64 and b.dtype == np.float64)
         if fast:
-            prod_buf, csum_buf, sum_buf, acc_buf = self._buffers()
-        for k in range(self.n_levels):
-            lo, hi = lp[k], lp[k + 1]
+            prod_buf, acc_buf = self._buffers()
+        for lo, hi, s0, s1 in self._bounds():
             rows_k = rows[lo:hi]
-            s0, s1 = seg_ptr[lo], seg_ptr[hi]
             if fast:
                 acc = acc_buf[:hi - lo]
                 np.take(b, rows_k, out=acc)
@@ -383,29 +420,21 @@ class ScheduledTriangularSolver:
                     prod = prod_buf[:s1 - s0]
                     np.take(x, gcols[s0:s1], out=prod)
                     np.multiply(prod, gvals[s0:s1], out=prod)
-                    cs = csum_buf[:s1 - s0 + 1]
-                    cs[0] = 0.0
-                    np.cumsum(prod, out=cs[1:])
-                    # Per-row segment sums as cumsum differences, then
-                    # acc = b - sums (same association as segment_sum so
-                    # both paths agree bitwise).
-                    sums = sum_buf[:hi - lo]
-                    np.subtract(cs[seg_ptr[lo + 1:hi + 1] - s0],
-                                cs[seg_ptr[lo:hi] - s0], out=sums)
-                    np.subtract(acc, sums, out=acc)
+                    np.subtract(acc, np.bincount(seg_ids[s0:s1], prod,
+                                                 minlength=hi - lo),
+                                out=acc)
                 if inv_diag is not None:
-                    np.multiply(acc, inv_diag[rows_k], out=acc)
+                    np.multiply(acc, inv_diag[lo:hi], out=acc)
                 x[rows_k] = acc
                 continue
             if s1 > s0:
                 prod = gvals[s0:s1] * x[gcols[s0:s1]]
-                sums = segment_sum(prod, seg_ptr[lo:hi] - s0,
-                                   seg_ptr[lo + 1:hi + 1] - s0)
-                acc = b[rows_k] - sums
+                acc = b[rows_k] - segment_sum_by_id(prod, seg_ids[s0:s1],
+                                                    hi - lo)
             else:
                 acc = b[rows_k].astype(dtype, copy=True)
             if inv_diag is not None:
-                acc = acc * inv_diag[rows_k]
+                acc = acc * inv_diag[lo:hi]
             x[rows_k] = acc
         return x
 
@@ -413,10 +442,11 @@ class ScheduledTriangularSolver:
                      ) -> np.ndarray:
         """Multi-RHS wavefront sweep over an ``(n, B)`` block.
 
-        One batched segmented kernel per level; the inner
-        :func:`~repro.util.segment_sum` runs its float64 cumsum along
-        axis 0, so column ``j`` of the result reproduces
-        ``solve(b[:, j])`` bitwise.
+        One batched segmented kernel per level.  The 2-D form of
+        :func:`~repro.util.segment_sum_by_id` bins product ``(e, j)`` at
+        ``row·B + j``, so each column is reduced with exactly the
+        additions of the 1-D sweep and column ``j`` of the result
+        reproduces ``solve(b[:, j])`` bitwise.
         """
         if b.shape[0] != self.n:
             raise ShapeError(f"b must have shape ({self.n}, B), "
@@ -425,23 +455,19 @@ class ScheduledTriangularSolver:
         x = out if out is not None else np.empty(b.shape, dtype=dtype)
         if x.shape != b.shape:
             raise ShapeError(f"out must have shape {b.shape}")
-        rows, seg_ptr = self._rows, self._seg_ptr
+        rows, seg_ids = self._rows, self._seg_ids
         gcols, gvals = self._gather_cols, self._gather_vals
-        lp = self._level_ptr
-        inv_diag = self._inv_diag
-        for k in range(self.n_levels):
-            lo, hi = lp[k], lp[k + 1]
+        inv_diag = self._sched_inv_diag
+        for lo, hi, s0, s1 in self._bounds():
             rows_k = rows[lo:hi]
-            s0, s1 = seg_ptr[lo], seg_ptr[hi]
             if s1 > s0:
                 prod = gvals[s0:s1, None] * x[gcols[s0:s1], :]
-                sums = segment_sum(prod, seg_ptr[lo:hi] - s0,
-                                   seg_ptr[lo + 1:hi + 1] - s0)
-                acc = b[rows_k, :] - sums
+                acc = b[rows_k, :] - segment_sum_by_id(
+                    prod, seg_ids[s0:s1], hi - lo)
             else:
                 acc = b[rows_k, :].astype(dtype, copy=True)
             if inv_diag is not None:
-                acc = acc * inv_diag[rows_k][:, None]
+                acc = acc * inv_diag[lo:hi, None]
             x[rows_k, :] = acc
         return x
 

@@ -9,8 +9,9 @@ what happened.  This subpackage provides the three pieces:
 
 * :mod:`~repro.resilience.faults` — a deterministic fault-injection
   layer (:class:`FaultPlan`) able to zero pivots, corrupt sparsified
-  values, inject NaN/Inf into preconditioner applies and fail modeled
-  device syncs, so every robustness claim below is testable;
+  values, inject NaN/Inf into preconditioner applies, corrupt the
+  system operator and fail modeled device syncs, so every robustness
+  claim below is testable;
 * :mod:`~repro.resilience.guards` — residual-stream health monitors
   (divergence, stagnation, NaN) that abort a doomed solve early via the
   solver's callback hook, plus the breakdown classifier mapping any
@@ -22,8 +23,9 @@ what happened.  This subpackage provides the three pieces:
   :class:`RobustSolveReport`.
 """
 
-from .faults import (APPLY_FAULTS, MATRIX_FAULTS, TIMELINE_FAULTS,
-                     FaultPlan, FaultSpec, FaultyPreconditioner)
+from .faults import (APPLY_FAULTS, MATRIX_FAULTS, OPERATOR_FAULTS,
+                     TIMELINE_FAULTS, FaultPlan, FaultSpec,
+                     FaultyPreconditioner)
 from .guards import (FailureClass, GuardConfig, GuardTrip, ResidualGuard,
                      classify_failure)
 from .fallback import (AttemptRecord, FallbackPolicy, FallbackRung,
@@ -35,6 +37,7 @@ __all__ = [
     "FaultyPreconditioner",
     "MATRIX_FAULTS",
     "APPLY_FAULTS",
+    "OPERATOR_FAULTS",
     "TIMELINE_FAULTS",
     "FailureClass",
     "GuardTrip",

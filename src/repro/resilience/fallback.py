@@ -401,8 +401,10 @@ def robust_spcg(a: CSRMatrix, b: np.ndarray, *,
             m if m is not None else IdentityPreconditioner(a.n_rows)).total
         attempt_crit = _attempt_criterion(crit, policy, cost)
         guard = ResidualGuard(guard_cfg, chain=callback)
+        op = (a if fault_plan is None
+              else fault_plan.corrupt_operator(a, rung.name))
         try:
-            solve = pcg(a, b, m, criterion=attempt_crit, x0=x0,
+            solve = pcg(op, b, m, criterion=attempt_crit, x0=x0,
                         callback=guard)
         except (ReproError, FloatingPointError, ZeroDivisionError) as exc:
             return record(rung, ratio, boosted=boosted, shifted=shifted,

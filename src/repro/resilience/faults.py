@@ -6,15 +6,19 @@ zeroed pivots, degraded factors, NaN propagation — must be reproducible
 on demand for the resilience layer to be testable.  A :class:`FaultPlan`
 is a declarative, seeded list of :class:`FaultSpec` entries; the SPCG
 driver and the :func:`~repro.resilience.fallback.robust_spcg` ladder
-thread the plan through three injection points:
+thread the plan through four injection points:
 
 * **matrix faults** (``zero_pivot``, ``flip_diagonal``,
   ``corrupt_values``) corrupt the *sparsified* matrix before the
   preconditioner is factored — modeling sparsification zeroing a pivot
   or memory corruption of Â's value array;
 * **apply faults** (``nan_apply``, ``negate_apply``, ``freeze_apply``,
-  ``scale_apply``) wrap the preconditioner and perturb ``z = M⁻¹ r`` at
-  a chosen application count — modeling transient kernel faults;
+  ``scale_apply``, ``offset_apply``) wrap the preconditioner and
+  perturb ``z = M⁻¹ r`` at a chosen application count — modeling
+  transient kernel faults;
+* **operator faults** (``scale_operator``) corrupt the system matrix
+  the CG iteration multiplies by — modeling memory corruption of ``A``
+  itself;
 * **timeline faults** (``sync_failure``) hook the machine model's
   :class:`~repro.machine.timeline.Timeline` and fail a recorded kernel
   event — modeling a lost device synchronization.
@@ -36,17 +40,21 @@ from ..precond.base import Preconditioner
 from ..sparse.csr import CSRMatrix
 
 __all__ = ["FaultSpec", "FaultPlan", "FaultyPreconditioner",
-           "MATRIX_FAULTS", "APPLY_FAULTS", "TIMELINE_FAULTS"]
+           "MATRIX_FAULTS", "APPLY_FAULTS", "OPERATOR_FAULTS",
+           "TIMELINE_FAULTS"]
 
 #: Fault kinds that corrupt the matrix handed to the factorization.
 MATRIX_FAULTS = ("zero_pivot", "flip_diagonal", "corrupt_values")
 #: Fault kinds that perturb preconditioner applications.
 APPLY_FAULTS = ("nan_apply", "negate_apply", "freeze_apply", "scale_apply",
                 "offset_apply")
+#: Fault kinds that corrupt the system operator ``A`` of the iteration.
+OPERATOR_FAULTS = ("scale_operator",)
 #: Fault kinds that fire inside the machine-model timeline.
 TIMELINE_FAULTS = ("sync_failure",)
 
-_ALL_KINDS = MATRIX_FAULTS + APPLY_FAULTS + TIMELINE_FAULTS
+_ALL_KINDS = (MATRIX_FAULTS + APPLY_FAULTS + OPERATOR_FAULTS
+              + TIMELINE_FAULTS)
 
 
 @dataclass(frozen=True)
@@ -56,8 +64,8 @@ class FaultSpec:
     Attributes
     ----------
     kind:
-        One of :data:`MATRIX_FAULTS`, :data:`APPLY_FAULTS` or
-        :data:`TIMELINE_FAULTS`.
+        One of :data:`MATRIX_FAULTS`, :data:`APPLY_FAULTS`,
+        :data:`OPERATOR_FAULTS` or :data:`TIMELINE_FAULTS`.
     rungs:
         Fallback-ladder rung names (see
         :mod:`~repro.resilience.fallback`) the fault is scoped to;
@@ -65,7 +73,8 @@ class FaultSpec:
         models a failure specific to the sparsified configuration, which
         the ladder escapes by falling back.
     rows:
-        Target rows for ``zero_pivot`` / ``flip_diagonal``.
+        Target rows for ``zero_pivot`` / ``flip_diagonal`` /
+        ``scale_operator``.
     at_apply:
         First preconditioner application (0-based count) an apply fault
         fires at.
@@ -76,11 +85,18 @@ class FaultSpec:
     fraction, scale:
         For ``corrupt_values``: fraction of stored entries perturbed and
         the multiplicative factor applied; ``scale`` is also the factor
-        of ``scale_apply`` and the additive magnitude of
-        ``offset_apply`` (a stuck-at-value output fault — large offsets
-        destroy the CG recurrence through catastrophic cancellation and
-        produce genuine residual divergence, which pure scalings and
-        sign flips cannot: PCG's α and β ratios cancel those out).
+        of ``scale_apply`` and ``scale_operator`` and the additive
+        magnitude of ``offset_apply`` (a stuck-at-value output fault).
+        No apply fault can make PCG diverge on an SPD ``A``: whatever
+        ``z`` the preconditioner returns, ``r_k ⟂ p_{k-1}`` holds, so α
+        is the exact line search along ``p`` and ``‖e‖_A`` never grows
+        — in exact arithmetic the residual stays within ``√κ(A)`` of
+        its best value.  Scalings and sign flips cancel in α and β
+        outright; a large offset swamps ``M⁻¹ r`` and the solve
+        stagnates.  Genuine
+        divergence needs a broken operator: ``scale_operator``
+        multiplies the target rows of ``A`` by ``scale``, the operator
+        is no longer symmetric and the recurrence blows up.
     value:
         Injected value for ``nan_apply`` (default NaN; use ``inf`` to
         model an overflow instead).
@@ -179,6 +195,28 @@ class FaultPlan:
                 k = max(1, int(spec.fraction * a.nnz))
                 pos = rng.choice(a.nnz, size=min(k, a.nnz), replace=False)
                 data[pos] *= spec.scale
+            self._fired[i] += 1
+        return CSRMatrix(a.indptr, a.indices, data, a.shape, check=False)
+
+    # -- operator faults --------------------------------------------------
+    def corrupt_operator(self, a: CSRMatrix, rung: str | None = None
+                         ) -> CSRMatrix:
+        """Apply every armed operator fault in scope to a copy of *a*.
+
+        The result is the matrix the CG iteration multiplies by; *a*
+        itself is returned when no fault fires.
+        """
+        idxs = self._active(OPERATOR_FAULTS, rung)
+        if not idxs:
+            return a
+        data = a.data.copy()
+        for i in idxs:
+            spec = self.specs[i]
+            for r in spec.rows:
+                if not 0 <= r < a.n_rows:
+                    raise IndexError(
+                        f"fault row {r} out of range for n={a.n_rows}")
+                data[a.indptr[r]:a.indptr[r + 1]] *= spec.scale
             self._fired[i] += 1
         return CSRMatrix(a.indptr, a.indices, data, a.shape, check=False)
 

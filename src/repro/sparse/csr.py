@@ -12,9 +12,29 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError, SparseFormatError
-from ..util import segment_sum
+from ..util import segment_sum_by_id
 
 __all__ = ["CSRMatrix"]
+
+#: ``(indptr, row ids)`` of the structure most recently multiplied.  Row
+#: ids depend on ``indptr`` alone (never mutated in place), so matrices
+#: sharing one ``indptr`` object share the entry.  One slot bounds the
+#: memory to a single matrix while the hundreds of products of an
+#: iterative solve reuse it; recomputing them per product costs a fifth
+#: of the SpMV and a second ``nnz``-long temporary, which on larger
+#: matrices makes the allocator trim and re-fault the heap on every call.
+#: Readers and writers swap the whole tuple, so concurrent callers at
+#: worst recompute.
+_last_row_ids: tuple = (None, None)
+
+
+def _spmv_row_ids(a: "CSRMatrix") -> np.ndarray:
+    global _last_row_ids
+    indptr, ids = _last_row_ids
+    if indptr is not a.indptr:
+        ids = a.row_ids()
+        _last_row_ids = (a.indptr, ids)
+    return ids
 
 
 class CSRMatrix:
@@ -74,6 +94,15 @@ class CSRMatrix:
     def row_lengths(self) -> np.ndarray:
         """Stored entries per row, length ``n_rows``."""
         return np.diff(self.indptr)
+
+    def row_ids(self) -> np.ndarray:
+        """Row index of every stored entry, length ``nnz``.
+
+        Computed on each call, not stored: a long-lived matrix should not
+        carry an extra ``nnz``-long array for its lifetime.
+        """
+        return np.repeat(np.arange(self.n_rows, dtype=np.int64),
+                         self.row_lengths())
 
     def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of row *i*'s ``(columns, values)``."""
@@ -140,18 +169,15 @@ class CSRMatrix:
         summed, matching :meth:`matvec` and the COO convention.
         """
         out = np.zeros(self.shape, dtype=self.data.dtype)
-        rows = np.repeat(np.arange(self.n_rows), self.row_lengths())
-        np.add.at(out, (rows, self.indices), self.data)
+        np.add.at(out, (self.row_ids(), self.indices), self.data)
         return out
 
     def tocoo(self):
         """Convert to :class:`~repro.sparse.coo.COOMatrix` (copies indices)."""
         from .coo import COOMatrix
 
-        rows = np.repeat(np.arange(self.n_rows, dtype=np.int64),
-                         self.row_lengths())
-        return COOMatrix(rows, self.indices.copy(), self.data.copy(),
-                         self.shape, check=False)
+        return COOMatrix(self.row_ids(), self.indices.copy(),
+                         self.data.copy(), self.shape, check=False)
 
     def tocsc(self):
         """Convert to :class:`~repro.sparse.csc.CSCMatrix`."""
@@ -163,7 +189,7 @@ class CSRMatrix:
     def transpose(self) -> "CSRMatrix":
         """Return the transpose as a new canonical CSR matrix."""
         n, m = self.shape
-        rows = np.repeat(np.arange(n, dtype=np.int64), self.row_lengths())
+        rows = self.row_ids()
         # Stable counting sort by column gives the transpose's row order;
         # within a column the original row order is already ascending, so
         # the result is canonical.
@@ -189,15 +215,18 @@ class CSRMatrix:
         """Sparse matrix–vector product ``y = A @ x``.
 
         Vectorized as a gather + segmented sum; this is the SpMV kernel on
-        line 9 of Algorithm 1.
+        line 9 of Algorithm 1.  Each row is reduced directly from its own
+        products (:func:`~repro.util.segment_sum_by_id`), so its rounding
+        error is bounded by that row's terms alone.
         """
         x = np.asarray(x)
         if x.shape != (self.n_cols,):
             raise ShapeError(
                 f"x must have shape ({self.n_cols},), got {x.shape}")
-        prod = self.data * x[self.indices]
-        y = segment_sum(prod, self.indptr[:-1], self.indptr[1:])
-        y = y.astype(np.result_type(self.data.dtype, x.dtype), copy=False)
+        dtype = np.result_type(self.data.dtype, x.dtype)
+        prod = np.take(x, self.indices).astype(dtype, copy=False)
+        np.multiply(prod, self.data, out=prod)
+        y = segment_sum_by_id(prod, _spmv_row_ids(self), self.n_rows)
         if out is None:
             return y
         out[...] = y
@@ -207,23 +236,29 @@ class CSRMatrix:
                ) -> np.ndarray:
         """Sparse matrix–dense block product ``Y = A @ X``, ``X`` (n, B).
 
-        The batched SpMV of the multi-RHS solver: one gather + segmented
-        sum serves all ``B`` columns.  Each column of the result is
-        bitwise identical to :meth:`matvec` on that column alone (the
-        segmented float64 cumsum performs the same additions in the same
-        order), so block solves decompose exactly into single-RHS ones.
+        The batched SpMV of the multi-RHS solver: one gather serves all
+        ``B`` columns, then each column is reduced by the 1-D kernel on
+        the very products :meth:`matvec` forms for it.  Column ``j`` of
+        the result is therefore bitwise identical to ``matvec(X[:, j])``,
+        so block solves decompose exactly into single-RHS ones.  The
+        gather runs on ``Xᵀ`` so that every column's products are
+        contiguous: one ``(nnz, B)`` ``bincount`` over flattened ids
+        costs more in memory traffic than ``B`` contiguous ones.
         """
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[0] != self.n_cols:
             raise ShapeError(
                 f"x must have shape ({self.n_cols}, B), got {x.shape}")
-        prod = self.data[:, None] * x[self.indices, :]
-        y = segment_sum(prod, self.indptr[:-1], self.indptr[1:])
-        y = y.astype(np.result_type(self.data.dtype, x.dtype), copy=False)
-        if out is None:
-            return y
-        out[...] = y
-        return out
+        dtype = np.result_type(self.data.dtype, x.dtype)
+        prod = np.take(np.ascontiguousarray(x.T, dtype=dtype),
+                       self.indices, axis=1)
+        np.multiply(prod, self.data, out=prod)
+        ids = _spmv_row_ids(self)
+        y = out if out is not None else np.empty((self.n_rows, x.shape[1]),
+                                                  dtype=dtype)
+        for j, col in enumerate(prod):
+            y[:, j] = segment_sum_by_id(col, ids, self.n_rows)
+        return y
 
     def __matmul__(self, x):
         if isinstance(x, np.ndarray) and x.ndim == 1:
@@ -242,8 +277,7 @@ class CSRMatrix:
         """
         n = min(self.shape)
         out = np.zeros(n, dtype=self.data.dtype)
-        for_rows = np.arange(self.n_rows, dtype=np.int64)
-        rows = np.repeat(for_rows, self.row_lengths())
+        rows = self.row_ids()
         mask = (rows == self.indices) & (rows < n)
         np.add.at(out, rows[mask], self.data[mask])
         return out
@@ -251,8 +285,7 @@ class CSRMatrix:
     def eliminate_zeros(self, tol: float = 0.0) -> "CSRMatrix":
         """Return a copy with entries of magnitude ``<= tol`` removed."""
         keep = np.abs(self.data) > tol
-        rows = np.repeat(np.arange(self.n_rows, dtype=np.int64),
-                         self.row_lengths())[keep]
+        rows = self.row_ids()[keep]
         indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
         np.add.at(indptr, rows + 1, 1)
         np.cumsum(indptr, out=indptr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..util import segment_sum
+from ..util import segment_sum_by_id
 from .csr import CSRMatrix
 
 __all__ = ["norm_inf", "norm_1", "norm_fro", "norm_max", "norm_2_est"]
@@ -22,7 +22,7 @@ def norm_inf(a: CSRMatrix) -> float:
     """Infinity norm: maximum absolute row sum."""
     if a.nnz == 0:
         return 0.0
-    sums = segment_sum(np.abs(a.data), a.indptr[:-1], a.indptr[1:])
+    sums = segment_sum_by_id(np.abs(a.data), a.row_ids(), a.n_rows)
     return float(sums.max(initial=0.0))
 
 

@@ -38,8 +38,8 @@ def add(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     """Entrywise sum ``A + B`` (explicit zeros are kept; use
     :meth:`CSRMatrix.eliminate_zeros` to drop them)."""
     _binary_shapes(a, b)
-    rows_a = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_lengths())
-    rows_b = np.repeat(np.arange(b.n_rows, dtype=np.int64), b.row_lengths())
+    rows_a = a.row_ids()
+    rows_b = b.row_ids()
     dtype = np.result_type(a.dtype, b.dtype)
     coo = COOMatrix(
         np.concatenate([rows_a, rows_b]),
@@ -67,8 +67,7 @@ def diagonal(a: CSRMatrix) -> np.ndarray:
 
 
 def _extract(a: CSRMatrix, keep_mask: np.ndarray) -> CSRMatrix:
-    rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_lengths())
-    rows = rows[keep_mask]
+    rows = a.row_ids()[keep_mask]
     indptr = np.zeros(a.n_rows + 1, dtype=np.int64)
     np.add.at(indptr, rows + 1, 1)
     np.cumsum(indptr, out=indptr)
@@ -76,28 +75,24 @@ def _extract(a: CSRMatrix, keep_mask: np.ndarray) -> CSRMatrix:
                      a.shape, check=False)
 
 
-def _row_ids(a: CSRMatrix) -> np.ndarray:
-    return np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_lengths())
-
-
 def extract_lower(a: CSRMatrix) -> CSRMatrix:
     """Lower triangle including the diagonal."""
-    return _extract(a, a.indices <= _row_ids(a))
+    return _extract(a, a.indices <= a.row_ids())
 
 
 def extract_upper(a: CSRMatrix) -> CSRMatrix:
     """Upper triangle including the diagonal."""
-    return _extract(a, a.indices >= _row_ids(a))
+    return _extract(a, a.indices >= a.row_ids())
 
 
 def extract_strict_lower(a: CSRMatrix) -> CSRMatrix:
     """Strictly lower triangle (diagonal excluded)."""
-    return _extract(a, a.indices < _row_ids(a))
+    return _extract(a, a.indices < a.row_ids())
 
 
 def extract_strict_upper(a: CSRMatrix) -> CSRMatrix:
     """Strictly upper triangle (diagonal excluded)."""
-    return _extract(a, a.indices > _row_ids(a))
+    return _extract(a, a.indices > a.row_ids())
 
 
 def is_structurally_symmetric(a: CSRMatrix) -> bool:
@@ -145,7 +140,7 @@ def permute(a: CSRMatrix, perm: np.ndarray) -> CSRMatrix:
         raise ShapeError("perm must be a permutation of range(n)")
     inv = np.empty(n, dtype=np.int64)
     inv[perm] = np.arange(n, dtype=np.int64)
-    rows = _row_ids(a)
+    rows = a.row_ids()
     coo = COOMatrix(inv[rows], inv[a.indices], a.data.copy(), a.shape,
                     check=False)
     return coo.tocsr()

@@ -17,7 +17,9 @@ from .errors import ShapeError
 __all__ = [
     "asdtype",
     "REAL_DTYPES",
+    "segment_ids",
     "segment_sum",
+    "segment_sum_by_id",
     "segment_starts_to_lengths",
     "gmean",
     "rankdata",
@@ -57,54 +59,123 @@ def require_finite(x: np.ndarray, name: str = "array") -> None:
         raise ValueError(f"{name} contains non-finite values")
 
 
-def segment_sum(values: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Sum contiguous segments ``values[starts[i]:ends[i]]`` for each *i*.
+def segment_ids(starts: np.ndarray, ends: np.ndarray,
+                size: int) -> np.ndarray:
+    """Segment id of every element of a length-*size* array.
 
-    Implemented with a single cumulative sum so that *empty segments are
-    handled correctly* (they yield exactly 0.0), unlike ``np.add.reduceat``
-    whose repeated-offset semantics silently return the element at the
-    offset.  This is the inner kernel of the level-scheduled triangular
-    solver: one call per wavefront sums each row's off-diagonal
-    contributions.
+    Element ``e`` gets id ``i`` when ``starts[i] <= e < ends[i]``, and
+    the sink id ``len(starts)`` when no segment covers it.  Segments
+    must be disjoint (empty ones may sit anywhere), which is what lets
+    :func:`segment_sum_by_id` reduce each with a single pass.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    if starts.shape != ends.shape or starts.ndim != 1:
+        raise ShapeError("starts and ends must be 1-D with identical shapes")
+    m = starts.shape[0]
+    lens = ends - starts
+    if m and (lens.min() < 0 or starts.min() < 0 or ends.max() > size):
+        raise ValueError(f"segments must satisfy 0 <= start <= end <= {size}")
+    seg = np.repeat(np.arange(m, dtype=np.int64), lens)
+    if m and starts[0] == 0 and ends[-1] == size and np.array_equal(
+            starts[1:], ends[:-1]):
+        return seg  # CSR-style pointers: the segments tile the array
+    nonempty = np.flatnonzero(lens)
+    order = nonempty[np.argsort(starts[nonempty], kind="stable")]
+    if np.any(starts[order[1:]] < ends[order[:-1]]):
+        raise ValueError("segments must not overlap")
+    ids = np.full(size, m, dtype=np.int64)
+    first = np.cumsum(lens) - lens
+    ids[np.repeat(starts - first, lens)
+        + np.arange(seg.shape[0], dtype=np.int64)] = seg
+    return ids
+
+
+def segment_sum_by_id(values: np.ndarray, ids: np.ndarray, n_segments: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Sum ``values[e]`` into segment ``ids[e]`` — the segmented-sum kernel.
+
+    One ``np.bincount`` pass: every segment is reduced directly, left to
+    right in float64, from its own addends only.  Its rounding error is
+    therefore bounded by ``len·eps·Σ|addends|`` of that segment, and a
+    non-finite addend poisons only its own segment.  (A difference of
+    two global prefix sums, the alternative, carries the error of every
+    unrelated element before the segment and turns one ``inf`` into
+    ``inf − inf`` for every later segment.)  Empty segments yield
+    exactly 0.0.  This is the reduction of :meth:`CSRMatrix.matvec
+    <repro.sparse.CSRMatrix.matvec>`, ``matmat`` and every wavefront
+    level of the triangular sweeps.
 
     Parameters
     ----------
     values:
         1-D array of addends, or a 2-D ``(len, B)`` block whose segments
         are summed along axis 0 — one batched kernel serving all ``B``
-        columns (the multi-RHS triangular sweep).
-    starts, ends:
-        Integer arrays of equal length giving segment boundaries,
-        ``0 <= starts[i] <= ends[i] <= len(values)``.
+        columns (the multi-RHS SpMV and triangular sweep).
+    ids:
+        1-D integer array, ``len(values)`` long, with entries in
+        ``[0, n_segments]``; the sink id ``n_segments`` marks elements
+        outside every segment (see :func:`segment_ids`).
+    n_segments:
+        Number of segments (rows of the result).
     out:
         Optional preallocated output of segment dtype.
 
     Notes
     -----
-    The cumulative sum is taken in float64 regardless of input dtype to
-    avoid catastrophic cancellation for long prefixes, then cast back.
-    For 2-D input each column's sums are bitwise identical to the 1-D
-    call on that column alone (same additions, same order), which is
-    what lets the batched triangular solver decompose exactly into the
-    single-RHS one.
+    The 2-D form bins element ``(e, j)`` at ``ids[e]·B + j``, so bin
+    ``(i, j)`` receives exactly the addends of the 1-D call on column
+    ``j``, in the same order: each column of the block result is
+    bitwise identical to the 1-D call on that column alone.  That is
+    what lets the batched SpMV and triangular solver decompose exactly
+    into the single-RHS ones.  The result is cast back to the dtype of
+    *values* (float32 segments are summed in float64, then rounded
+    once).
     """
     values = np.asarray(values)
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    if starts.shape != ends.shape:
-        raise ShapeError("starts and ends must have identical shapes")
-    if values.ndim not in (1, 2):
+    if values.ndim == 1:
+        res = np.bincount(ids, values, minlength=n_segments)[:n_segments]
+    elif values.ndim == 2:
+        b = values.shape[1]
+        flat = (ids[:, None] * np.int64(b)
+                + np.arange(b, dtype=np.int64)).ravel()
+        res = np.bincount(flat, values.ravel(), minlength=n_segments * b)
+        res = res[:n_segments * b].reshape(n_segments, b)
+    else:
         raise ShapeError("values must be 1-D or 2-D (segments along axis 0)")
-    csum = np.empty((values.shape[0] + 1,) + values.shape[1:],
-                    dtype=np.float64)
-    csum[0] = 0.0
-    np.cumsum(values, axis=0, dtype=np.float64, out=csum[1:])
-    res = csum[ends] - csum[starts]
     if out is None:
         return res.astype(values.dtype, copy=False)
     out[...] = res
     return out
+
+
+def segment_sum(values: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Sum contiguous segments ``values[starts[i]:ends[i]]`` for each *i*.
+
+    The boundary form of :func:`segment_sum_by_id`, which holds the
+    rounding, non-finite and block-column contracts; empty segments
+    yield exactly 0.0 (unlike ``np.add.reduceat``, whose
+    repeated-offset semantics silently return the element at the
+    offset).  Hot loops precompute the ids once with
+    :func:`segment_ids` and call the kernel directly.
+
+    Parameters
+    ----------
+    values:
+        1-D array of addends, or a 2-D ``(len, B)`` block whose segments
+        are summed along axis 0.
+    starts, ends:
+        Integer arrays of equal length giving disjoint segments,
+        ``0 <= starts[i] <= ends[i] <= len(values)``.
+    out:
+        Optional preallocated output of segment dtype.
+    """
+    values = np.asarray(values)
+    if values.ndim not in (1, 2):
+        raise ShapeError("values must be 1-D or 2-D (segments along axis 0)")
+    ids = segment_ids(starts, ends, values.shape[0])
+    return segment_sum_by_id(values, ids, len(starts), out)
 
 
 def segment_starts_to_lengths(starts: np.ndarray, total: int) -> np.ndarray:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import sparsify_magnitude, wavefront_aware_sparsify
+from repro.core import (make_preconditioner, sparsify_magnitude,
+                        wavefront_aware_sparsify)
 from repro.graph import level_schedule, level_schedule_reference
 from repro.precond import (ScheduledTriangularSolver, ilu0,
                            solve_lower_sequential)
@@ -150,6 +151,75 @@ class TestTriangularSolveProperties:
         b = rng.standard_normal(low.n_rows)
         x = ScheduledTriangularSolver(low, kind="lower").solve(b)
         np.testing.assert_allclose(low.matvec(x), b, rtol=1e-6, atol=1e-6)
+
+
+def _block_layout(x: np.ndarray, layout: str) -> np.ndarray:
+    """*x* as a C-ordered, F-ordered or non-contiguous (strided) block."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]), dtype=x.dtype)
+        wide[:, ::2] = x
+        return wide[:, ::2]
+    return x
+
+
+LAYOUTS = st.sampled_from(["C", "F", "strided"])
+
+
+class TestBlockKernelBitwiseProperties:
+    """Column ``j`` of every block call equals the 1-D call, bitwise."""
+
+    @given(dense_matrix(square=False), st.integers(0, 2 ** 31), LAYOUTS)
+    @settings(max_examples=40, deadline=None)
+    def test_matmat_columns(self, dense, seed, layout):
+        # Sparse random matrices routinely contain empty rows.
+        a = CSRMatrix.from_dense(dense)
+        x = _block_layout(
+            np.random.default_rng(seed).standard_normal((a.n_cols, 3)),
+            layout)
+        y = a.matmat(x)
+        for j in range(3):
+            np.testing.assert_array_equal(y[:, j],
+                                          a.matvec(x[:, j].copy()))
+
+    @given(dense_matrix(max_n=14, lower=True), st.integers(0, 2 ** 31),
+           LAYOUTS, st.sampled_from([np.float64, np.float32]))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_columns(self, dense, seed, layout, dtype):
+        # Rows without off-diagonals and levels without any (the first
+        # level always, every level of a diagonal factor) are included;
+        # float32 factors under float64 blocks take the generic path.
+        low = CSRMatrix.from_dense(dense).astype(dtype)
+        solver = ScheduledTriangularSolver(low, kind="lower")
+        b = _block_layout(
+            np.random.default_rng(seed).standard_normal((low.n_rows, 3)),
+            layout)
+        x = solver.solve(b)
+        for j in range(3):
+            np.testing.assert_array_equal(x[:, j],
+                                          solver.solve(b[:, j].copy()))
+
+    def test_sweep_columns_diagonal_factor(self, rng):
+        low = CSRMatrix.from_dense(np.diag(rng.random(6) + 0.5))
+        solver = ScheduledTriangularSolver(low, kind="lower")
+        b = rng.standard_normal((6, 2))
+        x = solver.solve(b)
+        for j in range(2):
+            np.testing.assert_array_equal(x[:, j], solver.solve(b[:, j]))
+
+    @given(dense_matrix(spd=True), st.integers(0, 2 ** 31), LAYOUTS)
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_precision_ilu0_apply_columns(self, dense, seed, layout):
+        a = CSRMatrix.from_dense(dense)
+        m = make_preconditioner(a, "ilu0", precision="mixed",
+                                raise_on_zero_pivot=False, cache=False)
+        r = _block_layout(
+            np.random.default_rng(seed).standard_normal((a.n_rows, 3)),
+            layout)
+        z = m.apply(r)
+        for j in range(3):
+            np.testing.assert_array_equal(z[:, j], m.apply(r[:, j].copy()))
 
 
 class TestSparsifyProperties:

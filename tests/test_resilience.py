@@ -128,12 +128,38 @@ class TestInjectedFaultScenarios:
         assert report.failure_classes == ("stagnation",)
         assert report.attempts[0].n_iters < 1000
 
-    def test_offset_apply_divergence_recovers(self, poisson24):
+    def test_offset_apply_stagnation_recovers(self, poisson24):
+        # An apply fault cannot make PCG diverge on an SPD operator (α
+        # stays an exact line search), so a stuck-at offset stalls the
+        # residual instead.
         b = _rhs(poisson24)
 
         def make_plan():
             return FaultPlan(FaultSpec("offset_apply", rungs=("spcg",),
                                        scale=1e11))
+
+        history = []
+        plain = spcg(poisson24, b, fault_plan=make_plan(),
+                     callback=lambda k, r: history.append(r))
+        assert not plain.converged
+        best = np.minimum.accumulate(history)
+        assert max(np.asarray(history) / best) < 1e2
+
+        report = robust_spcg(poisson24, b, fault_plan=make_plan())
+        assert report.converged
+        assert _tolerance_met(report, b)
+        assert report.recovered_by == "spcg-safe"
+        assert report.failure_classes == ("stagnation",)
+        assert report.attempts[0].n_iters < 1000
+
+    def test_operator_fault_divergence_recovers(self, poisson24):
+        # Scaling one row of A breaks the operator's symmetry, and with
+        # it the CG recurrence: the residual grows without bound.
+        b = _rhs(poisson24)
+
+        def make_plan():
+            return FaultPlan(FaultSpec("scale_operator", rungs=("spcg",),
+                                       rows=(0,), scale=1e3))
 
         plain = spcg(poisson24, b, fault_plan=make_plan())
         assert not plain.converged
@@ -209,6 +235,22 @@ class TestFaultPlan:
         c2 = FaultPlan(spec).corrupt_matrix(poisson20)
         np.testing.assert_array_equal(c1.data, c2.data)
         assert not np.array_equal(c1.data, poisson20.data)
+
+    def test_corrupt_operator_scales_rows_in_scope(self, poisson20):
+        spec = FaultSpec("scale_operator", rungs=("spcg",), rows=(3,),
+                         scale=5.0)
+        plan = FaultPlan(spec)
+        assert plan.corrupt_operator(poisson20, "full") is poisson20
+        assert plan.corrupt_matrix(poisson20, "spcg") is poisson20
+        bad = plan.corrupt_operator(poisson20, "spcg")
+        assert plan.fired(spec) == 1
+        x = np.arange(poisson20.n_rows, dtype=np.float64)
+        want = poisson20.matvec(x)
+        want[3] *= 5.0
+        np.testing.assert_array_equal(bad.matvec(x), want)
+        with pytest.raises(IndexError):
+            FaultPlan(FaultSpec("scale_operator", rows=(10**6,))
+                      ).corrupt_operator(poisson20)
 
     def test_wrap_preconditioner_passthrough(self, poisson20):
         from repro.precond import IdentityPreconditioner

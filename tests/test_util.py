@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.util import (gmean, histogram_fixed, pearson, rankdata,
-                        segment_starts_to_lengths, segment_sum, spearman)
+                        segment_ids, segment_starts_to_lengths, segment_sum,
+                        segment_sum_by_id, spearman)
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -84,6 +85,82 @@ class TestSegmentSum:
     def test_3d_rejected(self):
         with pytest.raises(ShapeError):
             segment_sum(np.ones((2, 2, 2)), np.array([0]), np.array([2]))
+
+
+class TestSegmentIds:
+    def test_tiling_pointers(self):
+        np.testing.assert_array_equal(
+            segment_ids(np.array([0, 2, 2]), np.array([2, 2, 5]), 5),
+            [0, 0, 2, 2, 2])
+
+    def test_uncovered_elements_get_sink_id(self):
+        np.testing.assert_array_equal(
+            segment_ids(np.array([1, 4]), np.array([3, 5]), 6),
+            [2, 0, 0, 2, 1, 2])
+
+    def test_unsorted_disjoint_segments(self):
+        np.testing.assert_array_equal(
+            segment_ids(np.array([3, 0]), np.array([5, 2]), 5),
+            [1, 1, 2, 0, 0])
+
+    def test_overlap_rejected(self):
+        with pytest.raises(ValueError, match="overlap"):
+            segment_ids(np.array([0, 1]), np.array([2, 3]), 3)
+
+    def test_out_of_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            segment_ids(np.array([0]), np.array([4]), 3)
+        with pytest.raises(ValueError):
+            segment_ids(np.array([2]), np.array([1]), 3)
+
+
+class TestSegmentSumById:
+    def test_each_row_summed_left_to_right(self):
+        # 1e16 + 1 + 1 is 1e16 left to right; any regrouping (or a
+        # prefix-sum difference) can differ in the last place.
+        v = np.array([1e16, 1.0, 1.0, 3.0])
+        out = segment_sum_by_id(v, np.array([0, 0, 0, 1]), 2)
+        assert out[0] == (1e16 + 1.0) + 1.0
+        assert out[1] == 3.0
+
+    def test_sink_and_empty_segments(self):
+        v = np.array([5.0, 1.0, 2.0])
+        out = segment_sum_by_id(v, np.array([3, 0, 2]), 3)
+        np.testing.assert_array_equal(out, [1.0, 0.0, 2.0])
+
+    def test_non_finite_stays_in_its_segment(self):
+        v = np.array([1.0, np.inf, 2.0, -np.inf, 4.0])
+        out = segment_sum_by_id(v, np.array([0, 1, 2, 3, 4]), 5)
+        np.testing.assert_array_equal(np.isfinite(out),
+                                      [True, False, True, False, True])
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_2d_columns_bitwise_match_1d(self, make_rng, layout, dtype):
+        rng = make_rng(5)
+        wide = rng.standard_normal((120, 8)).astype(dtype)
+        v = {"C": wide[:, :4].copy(), "F": np.asfortranarray(wide[:, :4]),
+             "strided": wide[:, ::2]}[layout]
+        # Empty segments, a sink run and unsorted ids all included.
+        ids = rng.integers(0, 12, size=120)
+        ids[ids == 4] = 3
+        ids[:7] = 11
+        block = segment_sum_by_id(v, ids, 11)
+        assert block.dtype == dtype
+        np.testing.assert_array_equal(block[4], 0.0)
+        for j in range(4):
+            np.testing.assert_array_equal(
+                block[:, j],
+                segment_sum_by_id(np.ascontiguousarray(v[:, j]), ids, 11))
+
+    def test_boundary_form_equals_id_form(self, make_rng):
+        rng = make_rng(6)
+        v = rng.standard_normal((90, 3))
+        bounds = np.sort(rng.integers(0, 90, size=10))
+        starts, ends = bounds[:-1], bounds[1:]
+        ids = segment_ids(starts, ends, 90)
+        np.testing.assert_array_equal(segment_sum(v, starts, ends),
+                                      segment_sum_by_id(v, ids, 9))
 
 
 class TestSegmentStartsToLengths:
