@@ -77,7 +77,7 @@ from ..errors import AbortSolve, InvalidRequestError, ShapeError
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_recorder
 from ..precond.base import Preconditioner
-from ..precond.identity import IdentityPreconditioner
+from ..solvers.cg import _check_inputs
 from ..solvers.result import SolveResult, TerminationReason
 from ..solvers.stopping import StoppingCriterion
 from ..sparse.csr import CSRMatrix
@@ -363,11 +363,12 @@ def pcg_block(a: CSRMatrix, b_block: np.ndarray,
         active columns then terminate with ``GUARD_TRIPPED``.
     slot_hook:
         Continuous-batching hook (see :data:`SlotHook`), consulted at
-        every iteration boundary.  Admitted columns start at their own
-        iteration 0 with a zero initial guess; each column's iteration
-        budget (``criterion.max_iters``) is counted from its own
-        admission, so the block may run more global sweeps than any
-        single column's budget.
+        every iteration boundary.  An admitted column starts at its own
+        iteration 0 from a zero guess or a warm-start ``x0``, or resumes
+        a :class:`CheckpointState` (see :class:`SlotDecision`); each
+        column's iteration budget (``criterion.max_iters``) is counted
+        from its own admission, so the block may run more global sweeps
+        than any single column's budget.
     keys:
         Caller handles for the initial columns (defaults to
         ``0..B-1``).  Only meaningful together with *slot_hook*; the
@@ -386,37 +387,19 @@ def pcg_block(a: CSRMatrix, b_block: np.ndarray,
         :meth:`BlockSolveResult.column` into per-column results matching
         a sequential :func:`~repro.solvers.cg.pcg` loop.
     """
-    n = a.n_rows
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("pcg_block requires a square matrix")
     b_block = np.asarray(b_block)
     if b_block.ndim == 1:
         b_block = b_block[:, None]
-    if b_block.ndim != 2 or b_block.shape[0] != n:
-        raise ShapeError(f"b_block must have shape ({n}, B), "
-                         f"got {b_block.shape}")
-    nb = b_block.shape[1]
+    b_block, m, crit, x = _check_inputs("pcg_block requires", a, b_block,
+                                        preconditioner, x0, criterion,
+                                        columns=True)
+    n, nb = b_block.shape
     if nb == 0 and slot_hook is None:
         # A zero-column block is only meaningful with a slot hook: the
         # hook may admit columns (e.g. checkpoint resumes) at the first
         # boundary — the serving layer's all-retries dispatch.
         raise ShapeError("b_block must have at least one column")
-    m = preconditioner if preconditioner is not None \
-        else IdentityPreconditioner(n)
-    if m.n != n:
-        raise ShapeError("preconditioner order does not match the matrix")
-    crit = criterion if criterion is not None \
-        else StoppingCriterion.paper_default()
-
-    dtype = np.result_type(a.dtype, b_block.dtype)
-    x = (np.zeros((n, nb), dtype=dtype) if x0 is None
-         else np.asarray(x0, dtype=dtype).copy())
-    if x.shape != (n, nb):
-        raise ShapeError(f"x0 must have shape ({n}, {nb})")
-    if x0 is not None and not np.isfinite(x).all():
-        raise InvalidRequestError(
-            "x0 contains non-finite entries; a NaN/Inf warm start would "
-            "silently poison every iterate")
+    dtype = x.dtype
 
     b_norms = _col_norms(b_block)
     thresholds = np.array([crit.threshold(bn) for bn in b_norms])

@@ -15,6 +15,12 @@
 
 Each iteration performs one SpMV, one preconditioner application, two
 inner products and three AXPYs — the kernel mix the machine model prices.
+
+The loop lives in :func:`_pcg`, the only single-vector PCG loop in the
+package: :func:`repro.streams.recycling_pcg` runs it with a deflation
+hook and a coefficient recorder.  :func:`_check_inputs` is the input
+validation every CG entry point shares (``pcg``, ``recycling_pcg``,
+``pipelined_cg``, ``s_step_cg``, ``pcg_block``).
 """
 
 from __future__ import annotations
@@ -46,6 +52,51 @@ def _finish(rec: TraceRecorder, res: SolveResult) -> SolveResult:
     if not res.converged:
         metrics.inc(f"pcg.terminations.{res.reason.value}")
     return res
+
+
+def _check_inputs(who: str, a: CSRMatrix, b: np.ndarray,
+                  preconditioner: Preconditioner | None,
+                  x0: np.ndarray | None,
+                  criterion: StoppingCriterion | None, *,
+                  columns: bool = False, promote: tuple = ()
+                  ) -> tuple[np.ndarray, Preconditioner, StoppingCriterion,
+                             np.ndarray]:
+    """Validate the inputs of a CG entry point before any kernel runs.
+
+    *who* opens the square-matrix message (``"pcg requires"``).  ``b``
+    must be ``(n,)``, or ``(n, B)`` when *columns* is set; ``x0`` must
+    match ``b``'s shape and be finite.  The solve dtype is
+    ``result_type(a, b, *promote)``.
+
+    Returns ``(b, m, crit, x)``: ``b`` as an array, the preconditioner
+    (identity when ``None``), the criterion (the paper default when
+    ``None``) and a fresh initial guess the solver may update in place
+    (zeros when ``x0`` is ``None``).
+    """
+    n = a.n_rows
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"{who} a square matrix")
+    b = np.asarray(b)
+    if b.shape != (n,) and not (columns and b.ndim == 2
+                                and b.shape[0] == n):
+        want = f"({n},) or ({n}, B)" if columns else f"({n},)"
+        raise ShapeError(f"b must have shape {want}, got {b.shape}")
+    m = preconditioner if preconditioner is not None \
+        else IdentityPreconditioner(n)
+    if m.n != n:
+        raise ShapeError("preconditioner order does not match the matrix")
+    crit = criterion if criterion is not None \
+        else StoppingCriterion.paper_default()
+    dtype = np.result_type(a.dtype, b.dtype, *promote)
+    x = (np.zeros(b.shape, dtype=dtype) if x0 is None
+         else np.asarray(x0, dtype=dtype).copy())
+    if x.shape != b.shape:
+        raise ShapeError(f"x0 must have shape {b.shape}")
+    if x0 is not None and not np.isfinite(x).all():
+        raise InvalidRequestError(
+            "x0 contains non-finite entries; a NaN/Inf warm start would "
+            "silently poison every iterate")
+    return b, m, crit, x
 
 
 def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
@@ -82,29 +133,32 @@ def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
     SolveResult
         Never raises on non-convergence; inspect ``result.reason``.
     """
+    b, m, crit, x = _check_inputs("pcg requires", a, b, preconditioner,
+                                  x0, criterion)
+    return _pcg(a, b, m, x, crit, callback)
+
+
+def _pcg(a: CSRMatrix, b: np.ndarray, m: Preconditioner, x: np.ndarray,
+         crit: StoppingCriterion,
+         callback: Callable[[int, float], None] | None, *,
+         deflator=None, lanczos=None, **start) -> SolveResult:
+    """The PCG loop behind :func:`pcg`, on inputs :func:`_check_inputs`
+    has already validated (*x* is updated in place).
+
+    Two optional hooks serve Krylov recycling; each costs one ``is None``
+    branch per site when absent, so plain ``pcg`` runs unchanged:
+
+    * *deflator* — ``galerkin(x, r)`` returns ``(x, r)`` with the
+      ``span(W)`` component absorbed, once before the first residual
+      norm; ``project(z)`` A-orthogonalizes every new search direction.
+    * *lanczos* — records ``alpha`` in ``alphas`` and ``beta`` in
+      ``betas`` every iteration and passes each preconditioned residual
+      to ``store(z, rz)``.
+
+    *start* adds fields to the ``solve_start`` trace event.
+    """
     n = a.n_rows
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("pcg requires a square matrix")
-    b = np.asarray(b)
-    if b.shape != (n,):
-        raise ShapeError(f"b must have shape ({n},), got {b.shape}")
-    m = preconditioner if preconditioner is not None \
-        else IdentityPreconditioner(n)
-    if m.n != n:
-        raise ShapeError("preconditioner order does not match the matrix")
-    crit = criterion if criterion is not None \
-        else StoppingCriterion.paper_default()
-
-    dtype = np.result_type(a.dtype, b.dtype)
-    x = (np.zeros(n, dtype=dtype) if x0 is None
-         else np.asarray(x0, dtype=dtype).copy())
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must have shape ({n},)")
-    if x0 is not None and not np.isfinite(x).all():
-        raise InvalidRequestError(
-            "x0 contains non-finite entries; a NaN/Inf warm start would "
-            "silently poison every iterate")
-
+    dtype = x.dtype
     b_norm = float(np.linalg.norm(b))
     threshold = crit.threshold(b_norm)
 
@@ -114,10 +168,12 @@ def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
     rec = get_recorder()
     if rec.enabled:
         rec.emit("solve_start", n=n, nnz=a.nnz, precond=m.name,
-                 max_iters=crit.max_iters, tolerance=threshold)
+                 max_iters=crit.max_iters, tolerance=threshold, **start)
 
     # r0 = b - A x0  (skip the SpMV for the common zero initial guess)
     r = b.astype(dtype, copy=True) if not x.any() else b - a.matvec(x)
+    if deflator is not None:
+        x, r = deflator.galerkin(x, r)
     res_norms = [float(np.linalg.norm(r))]
     if callback is not None:
         try:
@@ -137,7 +193,6 @@ def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
             tolerance=threshold))
 
     z = m.apply(r)
-    p = z.astype(dtype, copy=True)
     rz = float(np.dot(r, z))
     if rz == 0.0 or not np.isfinite(rz):
         return _finish(rec, SolveResult(
@@ -145,6 +200,10 @@ def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
             residual_norms=np.array(res_norms),
             reason=TerminationReason.NUMERICAL_BREAKDOWN,
             tolerance=threshold))
+    if lanczos is not None:
+        lanczos.store(z, rz)
+    p = (z.astype(dtype, copy=True) if deflator is None
+         else deflator.project(z))
 
     reason = TerminationReason.MAX_ITERATIONS
     abort: AbortSolve | None = None
@@ -161,6 +220,8 @@ def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
             k -= 1
             break
         alpha = rz / pw
+        if lanczos is not None:
+            lanczos.alphas.append(alpha)
         x += alpha * p
         r -= alpha * w
         r_norm = float(np.linalg.norm(r))
@@ -187,7 +248,10 @@ def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
             break
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        if lanczos is not None:
+            lanczos.betas.append(beta)
+            lanczos.store(z, rz)
+        p = (z if deflator is None else deflator.project(z)) + beta * p
 
     return _finish(rec, SolveResult(
         x=x,

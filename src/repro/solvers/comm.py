@@ -50,15 +50,14 @@ reports how many iterations ran at full synchronization).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from ..errors import ShapeError
 from ..precond.base import Preconditioner
-from ..precond.identity import IdentityPreconditioner
 from ..sparse.csr import CSRMatrix
-from .cg import pcg
+from .cg import _check_inputs, pcg
 from .result import SolveResult, TerminationReason
 from .stopping import StoppingCriterion
 
@@ -69,29 +68,13 @@ def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
-def _block_dispatch(solve_one, a, b, x0):
-    """Run *solve_one* per column of a 2-D right-hand side block."""
-    b = np.asarray(b)
-    results = []
-    for j in range(b.shape[1]):
-        xj = None if x0 is None else np.asarray(x0)[:, j]
-        results.append(solve_one(np.ascontiguousarray(b[:, j]), xj))
-    return results
-
-
-def _setup(a: CSRMatrix, b: np.ndarray,
-           preconditioner: Preconditioner | None,
-           criterion: StoppingCriterion | None):
-    n = a.n_rows
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("cg variants require a square matrix")
-    m = preconditioner if preconditioner is not None \
-        else IdentityPreconditioner(n)
-    if m.n != n:
-        raise ShapeError("preconditioner order does not match the matrix")
-    crit = criterion if criterion is not None \
-        else StoppingCriterion.paper_default()
-    return m, crit
+def _per_column(solve_one, a, b, m, x, crit):
+    """Run *solve_one* on a 1-D system, or once per column of an
+    ``(n, B)`` block (a list of results)."""
+    if b.ndim == 1:
+        return solve_one(a, b, m, x, crit)
+    return [solve_one(a, np.ascontiguousarray(b[:, j]), m, x[:, j].copy(),
+                      crit) for j in range(b.shape[1])]
 
 
 #: A block/verification that fails to shrink the *true* residual below
@@ -132,21 +115,16 @@ def pipelined_cg(a: CSRMatrix, b: np.ndarray,
     Returns a :class:`SolveResult` for a 1-D ``b``, or a list of
     per-column results for an ``(n, B)`` block.
     """
-    b_arr = np.asarray(b)
-    if b_arr.ndim == 2:
-        return _block_dispatch(
-            lambda bj, xj: pipelined_cg(a, bj, preconditioner, x0=xj,
-                                        criterion=criterion),
-            a, b_arr, x0)
-    m, crit = _setup(a, b_arr, preconditioner, criterion)
+    b, m, crit, x = _check_inputs("cg variants require", a, b,
+                                  preconditioner, x0, criterion,
+                                  columns=True)
+    return _per_column(_pipelined, a, b, m, x, crit)
+
+
+def _pipelined(a, b_arr, m, x, crit):
+    """:func:`pipelined_cg` on one validated right-hand side."""
     n = a.n_rows
-    if b_arr.shape != (n,):
-        raise ShapeError(f"b must have shape ({n},), got {b_arr.shape}")
-    dtype = np.result_type(a.dtype, b_arr.dtype)
-    x = (np.zeros(n, dtype=dtype) if x0 is None
-         else np.asarray(x0, dtype=dtype).copy())
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must have shape ({n},)")
+    dtype = x.dtype
     b_norm = _norm(b_arr)
     threshold = crit.threshold(b_norm)
     allreduces = 0
@@ -309,29 +287,24 @@ def s_step_cg(a: CSRMatrix, b: np.ndarray,
     s = int(s)
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
-    b_arr = np.asarray(b)
-    if b_arr.ndim == 2:
-        return _block_dispatch(
-            lambda bj, xj: s_step_cg(a, bj, preconditioner, s=s, x0=xj,
-                                     criterion=criterion),
-            a, b_arr, x0)
+    b, m, crit, x = _check_inputs("cg variants require", a, b,
+                                  preconditioner, x0, criterion,
+                                  columns=True, promote=(np.float64,))
+    return _per_column(functools.partial(_s_step, s=s), a, b, m, x, crit)
+
+
+def _s_step(a, b_arr, m, x, crit, s):
+    """:func:`s_step_cg` on one validated right-hand side."""
     if s == 1:
-        res = pcg(a, b_arr, preconditioner, x0=x0, criterion=criterion)
+        res = pcg(a, b_arr, m, x0=x, criterion=crit)
         res.extra["comm"] = {"variant": "s_step", "s": 1,
                              "allreduces": res.n_iters,
                              "scalars_per_allreduce": 3,
                              "blocks": res.n_iters,
                              "fallback_iters": 0, "s_final": 1}
         return res
-    m, crit = _setup(a, b_arr, preconditioner, criterion)
     n = a.n_rows
-    if b_arr.shape != (n,):
-        raise ShapeError(f"b must have shape ({n},), got {b_arr.shape}")
-    dtype = np.result_type(a.dtype, b_arr.dtype, np.float64)
-    x = (np.zeros(n, dtype=dtype) if x0 is None
-         else np.asarray(x0, dtype=dtype).copy())
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must have shape ({n},)")
+    dtype = x.dtype
     b_norm = _norm(b_arr)
     threshold = crit.threshold(b_norm)
     k_basis = 2 * s + 1

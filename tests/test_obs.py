@@ -234,10 +234,20 @@ class TestZeroCostWhenDisabled:
                     f"emit({kind!r}) called while tracing is disabled")
 
         from repro.core import spcg
+        from repro.streams import recycling_pcg
 
+        b = _rhs(poisson16)
+        _, basis = recycling_pcg(poisson16, b, harvest=4)
+        assert basis is not None and basis.size > 0
         with use_recorder(BoobyTrap()):
-            res = spcg(poisson16, _rhs(poisson16))
+            res = spcg(poisson16, b)
+            # The recycling hooks ride the same loop: deflating a
+            # non-empty basis and harvesting must stay trace-free too.
+            rres, new = recycling_pcg(poisson16, 2.0 * b, basis=basis,
+                                      harvest=4)
         assert res.converged
+        assert rres.converged and new is not None
+        assert rres.extra["recycle"]["deflated"] == basis.size
 
     def test_disabled_trace_buffers_nothing(self, poisson16):
         pcg(poisson16, _rhs(poisson16))

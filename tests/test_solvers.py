@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import AbortSolve, InvalidCriterionError, ReproError, \
-    ShapeError
+from repro.errors import AbortSolve, InvalidCriterionError, \
+    InvalidRequestError, ReproError, ShapeError
 from repro.precond import ILU0Preconditioner, IdentityPreconditioner
 from repro.solvers import (SolveResult, StoppingCriterion,
                            TerminationReason, cg, pcg)
@@ -289,3 +289,90 @@ class TestSolveResult:
                         tolerance=1e-2)
         assert np.isnan(r.final_residual)
         assert np.isnan(r.reduction)
+
+
+class _CountingCSR(CSRMatrix):
+    """A CSR matrix that counts its SpMVs (``matvec`` and ``matmat``)."""
+
+    spmvs = 0
+
+    def matvec(self, x, out=None):
+        self.spmvs += 1
+        return super().matvec(x, out=out)
+
+    def matmat(self, x, out=None):
+        self.spmvs += 1
+        return super().matmat(x, out=out)
+
+
+def _counting(a: CSRMatrix) -> _CountingCSR:
+    return _CountingCSR(a.indptr, a.indices, a.data, a.shape)
+
+
+def _entry_points():
+    from repro.batch import pcg_block
+    from repro.solvers import pipelined_cg, s_step_cg
+    from repro.streams import recycling_pcg
+
+    return {
+        "pcg": pcg,
+        "recycling_pcg": recycling_pcg,
+        "pipelined_cg": pipelined_cg,
+        "s_step_cg-s2": lambda *a, **k: s_step_cg(*a, s=2, **k),
+        "s_step_cg-s4": lambda *a, **k: s_step_cg(*a, s=4, **k),
+        "pcg_block": pcg_block,
+    }
+
+
+class TestSharedInputValidation:
+    """Every CG entry point shares one input validator: a bad input
+    raises the same exception type everywhere, before any SpMV."""
+
+    N = 36
+
+    def _case(self, case, entry, width):
+        n = self.N
+        a = random_spd(n, density=0.2, seed=4)
+        b = np.ones(n) if width is None else np.ones((n, width))
+        kwargs = {}
+        precond = None
+        if case == "non_square":
+            dense = a.to_dense()
+            a = CSRMatrix.from_dense(np.hstack([dense, dense[:, :1]]))
+        elif case == "b_shape":
+            b = np.ones(n + 1) if width is None else np.ones((n + 1, width))
+        elif case == "x0_shape":
+            kwargs["x0"] = np.ones(b.shape[:-1] + (b.shape[-1] - 1,))
+        elif case in ("x0_nan", "x0_inf"):
+            x0 = np.ones(b.shape)
+            x0.flat[-1] = np.nan if case == "x0_nan" else np.inf
+            kwargs["x0"] = x0
+        elif case == "precond_order":
+            precond = IdentityPreconditioner(n + 1)
+        if entry == "pcg_block" and width is None and "x0" in kwargs:
+            # pcg_block promotes a 1-D b to one column; x0 follows it.
+            kwargs["x0"] = kwargs["x0"][:, None]
+        return _counting(a), b, precond, kwargs
+
+    ERRORS = {"non_square": ShapeError, "b_shape": ShapeError,
+              "x0_shape": ShapeError, "x0_nan": InvalidRequestError,
+              "x0_inf": InvalidRequestError, "precond_order": ShapeError}
+
+    @pytest.mark.parametrize("case", sorted(ERRORS))
+    @pytest.mark.parametrize("entry", sorted(_entry_points()))
+    def test_rejected_before_any_spmv(self, entry, case):
+        a, b, precond, kwargs = self._case(case, entry, None)
+        with pytest.raises(self.ERRORS[case]):
+            _entry_points()[entry](a, b, precond, **kwargs)
+        assert a.spmvs == 0
+
+    @pytest.mark.parametrize("case", ["x0_nan", "x0_inf", "x0_shape"])
+    @pytest.mark.parametrize("entry", ["pipelined_cg", "s_step_cg-s2",
+                                       "s_step_cg-s4", "pcg_block"])
+    def test_block_rhs_rejected_before_any_spmv(self, entry, case):
+        """An ``(n, B)`` block is checked whole: a bad last column
+        stops the solve before the first column runs."""
+        a, b, precond, kwargs = self._case(case, entry, 3)
+        with pytest.raises(self.ERRORS[case]):
+            _entry_points()[entry](a, b, precond, **kwargs)
+        assert a.spmvs == 0

@@ -269,6 +269,50 @@ class TestRecycling:
         assert np.array_equal(res.x, plain.x)
         assert np.array_equal(res.residual_norms, plain.residual_norms)
 
+    @pytest.mark.parametrize("harvest", [0, 4])
+    @pytest.mark.parametrize("abort_at", [None, 3])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("kind", ["jacobi", "identity", "fsai"])
+    def test_empty_basis_is_bitwise_pcg_wider(self, poisson16, make_rng,
+                                              kind, warm, abort_at,
+                                              harvest):
+        """Wider inputs for the fold: more preconditioners, a nonzero
+        warm start, a callback abort, and the harvesting recorder on —
+        an empty basis still runs exactly ``pcg``'s operations."""
+        from repro.errors import AbortSolve
+        from repro.precond import (FSAIPreconditioner, IdentityPreconditioner,
+                                   JacobiPreconditioner)
+        from repro.streams import RecycleBasis
+
+        n = poisson16.n_rows
+        rng = make_rng(7)
+        b = rng.standard_normal(n)
+        m = {"jacobi": lambda: JacobiPreconditioner(poisson16),
+             "identity": lambda: IdentityPreconditioner(n),
+             "fsai": lambda: FSAIPreconditioner(poisson16)}[kind]()
+        x0 = rng.standard_normal(n) if warm else None
+        stop = AbortSolve("stop at k=3")
+
+        def callback(k, _r_norm):
+            if k == abort_at:
+                raise stop
+
+        empty = RecycleBasis(w=np.zeros((n, 0)), ritz_values=np.zeros(0),
+                             source_iters=0)
+        plain = pcg(poisson16, b, m, x0=x0, criterion=CRIT,
+                    callback=callback)
+        for basis in (None, empty):
+            res, _ = recycling_pcg(poisson16, b, m, x0=x0, basis=basis,
+                                   harvest=harvest, criterion=CRIT,
+                                   callback=callback)
+            assert np.array_equal(res.x, plain.x)
+            assert np.array_equal(res.residual_norms, plain.residual_norms)
+            assert res.n_iters == plain.n_iters
+            assert res.reason is plain.reason
+            assert res.extra.get("abort") is plain.extra.get("abort")
+        if abort_at is not None:
+            assert plain.extra["abort"] is stop and plain.n_iters == 3
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_deflated_matches_pcg_and_never_iterates_more(
             self, poisson16, make_rng, seed):
