@@ -31,9 +31,14 @@ Fault taxonomy (:class:`FaultKind`):
 
 Injection seam
 --------------
-Corruption rides on operator wrappers (:meth:`ChaosPlan.wrap_matrix`,
-:meth:`ChaosPlan.wrap_preconditioner`) that delegate everything to the
-wrapped object and corrupt exactly one armed block-kernel output.
+Corruption rides on the resilience layer's operator proxies
+(:class:`~repro.resilience.faults.FaultyMatrix`,
+:class:`~repro.resilience.faults.FaultyPreconditioner`, built by
+:meth:`ChaosPlan.wrap_matrix` / :meth:`ChaosPlan.wrap_preconditioner`),
+which delegate everything to the wrapped object and pass each block
+SpMV / batched apply output through :meth:`ChaosPlan._corrupt`, so
+exactly one armed block-kernel output is corrupted.  ``matvec`` and
+single-vector applies (reference solves, verification) pass through.
 Arming happens inside the scheduler's slot hook, *after*
 :func:`~repro.batch.pcg_block` ran its boundary verification — so the
 detectors' own SpMV calls can never consume an armed fault, only the
@@ -48,8 +53,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["FaultKind", "ChaosConfig", "ChaosEvent", "ChaosPlan",
-           "ChaosMatrix", "ChaosPreconditioner"]
+from ..resilience.faults import FaultyMatrix, FaultyPreconditioner
+
+__all__ = ["FaultKind", "ChaosConfig", "ChaosEvent", "ChaosPlan"]
 
 
 class FaultKind(enum.Enum):
@@ -199,50 +205,10 @@ class ChaosPlan:
         self.injected.append(event)
         return y
 
-    def wrap_matrix(self, a) -> "ChaosMatrix":
-        return ChaosMatrix(a, self)
+    def wrap_matrix(self, a) -> FaultyMatrix:
+        return FaultyMatrix(a, lambda y: self._corrupt("spmv", y))
 
-    def wrap_preconditioner(self, m) -> "ChaosPreconditioner":
-        return ChaosPreconditioner(m, self)
-
-
-class ChaosMatrix:
-    """CSR-matrix proxy that lands armed SpMV faults.
-
-    Delegates every attribute to the wrapped matrix (so cost-model and
-    fingerprint duck typing keep working, and the ABFT checksum built
-    from ``indices``/``data`` reads the *true* arrays); only the block
-    ``matmat`` — the solver's batched SpMV — can be corrupted, and only
-    when a fault is armed.  ``matvec`` (sequential reference solves,
-    verification paths) is never touched.
-    """
-
-    def __init__(self, inner, plan: ChaosPlan):
-        self._inner = inner
-        self._plan = plan
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def matmat(self, x: np.ndarray, out: np.ndarray | None = None
-               ) -> np.ndarray:
-        return self._plan._corrupt("spmv", self._inner.matmat(x, out=out))
-
-
-class ChaosPreconditioner:
-    """Preconditioner proxy that lands armed trisolve faults on the
-    batched ``apply`` output (single-vector applies pass through)."""
-
-    def __init__(self, inner, plan: ChaosPlan):
-        self._inner = inner
-        self._plan = plan
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def apply(self, r: np.ndarray, out: np.ndarray | None = None
-              ) -> np.ndarray:
-        z = self._inner.apply(r, out=out)
-        if z.ndim == 2:
-            z = self._plan._corrupt("apply", z)
-        return z
+    def wrap_preconditioner(self, m) -> FaultyPreconditioner:
+        # Only batched (2-D) applies are block-kernel outputs.
+        return FaultyPreconditioner(
+            m, lambda z: self._corrupt("apply", z) if z.ndim == 2 else z)

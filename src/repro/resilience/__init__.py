@@ -11,35 +11,42 @@ what happened.  This subpackage provides the three pieces:
   layer (:class:`FaultPlan`) able to zero pivots, corrupt sparsified
   values, inject NaN/Inf into preconditioner applies, corrupt the
   system operator and fail modeled device syncs, so every robustness
-  claim below is testable;
+  claim below is testable; its :class:`FaultyPreconditioner` /
+  :class:`FaultyMatrix` proxies are the apply / SpMV injection seam
+  the serving chaos plan uses too;
 * :mod:`~repro.resilience.guards` — residual-stream health monitors
   (divergence, stagnation, NaN) that abort a doomed solve early via the
   solver's callback hook, plus the breakdown classifier mapping any
-  outcome onto the :class:`FailureClass` taxonomy;
+  outcome onto the :class:`FailureClass` taxonomy and the
+  :data:`TRANSIENT_FAILURES` worth a retry;
 * :mod:`~repro.resilience.fallback` — :func:`robust_spcg`, a fallback
-  ladder (chosen ratio → safe ratio → unsparsified ILU → IC(0) →
-  Jacobi → CG) with per-attempt iteration/modeled-seconds budgets,
-  pivot-boost and diagonal-shift escalation, and a structured
-  :class:`RobustSolveReport`.
+  ladder (chosen ratio → safe ratio → unsparsified preconditioner →
+  IC(0) → FSAI → Jacobi → CG) with per-attempt iteration/modeled-
+  seconds budgets, pivot-boost and diagonal-shift escalation, and a
+  structured :class:`RobustSolveReport`.  Its preconditioner rungs are
+  :func:`precond_ladder`, which the serving circuit breaker walks too.
 """
 
 from .faults import (APPLY_FAULTS, MATRIX_FAULTS, OPERATOR_FAULTS,
-                     TIMELINE_FAULTS, FaultPlan, FaultSpec,
+                     TIMELINE_FAULTS, FaultPlan, FaultSpec, FaultyMatrix,
                      FaultyPreconditioner)
-from .guards import (FailureClass, GuardConfig, GuardTrip, ResidualGuard,
-                     classify_failure)
+from .guards import (TRANSIENT_FAILURES, FailureClass, GuardConfig,
+                     GuardTrip, ResidualGuard, classify_failure)
 from .fallback import (AttemptRecord, FallbackPolicy, FallbackRung,
-                       RobustSolveReport, default_ladder, robust_spcg)
+                       RobustSolveReport, default_ladder, precond_ladder,
+                       robust_spcg)
 
 __all__ = [
     "FaultSpec",
     "FaultPlan",
     "FaultyPreconditioner",
+    "FaultyMatrix",
     "MATRIX_FAULTS",
     "APPLY_FAULTS",
     "OPERATOR_FAULTS",
     "TIMELINE_FAULTS",
     "FailureClass",
+    "TRANSIENT_FAILURES",
     "GuardTrip",
     "GuardConfig",
     "ResidualGuard",
@@ -48,6 +55,7 @@ __all__ = [
     "FallbackPolicy",
     "AttemptRecord",
     "RobustSolveReport",
+    "precond_ladder",
     "default_ladder",
     "robust_spcg",
 ]

@@ -5,7 +5,7 @@ The paper's protocol simply *drops* configurations that fail to converge
 report what happened.  :func:`robust_spcg` runs the ladder
 
     Algorithm-2 chosen ratio → most conservative ratio →
-    unsparsified ILU → IC(0) → Jacobi → plain CG
+    unsparsified preconditioner → IC(0) → FSAI → Jacobi → plain CG
 
 with, at every rung, (1) a :class:`~repro.resilience.guards.ResidualGuard`
 that aborts diverging or stagnating attempts early, (2) per-attempt
@@ -13,8 +13,11 @@ budgets in iterations *and modeled seconds* (priced by the machine
 model, so a rung whose per-iteration cost is high gets proportionally
 fewer iterations), and (3) in-rung escalation: a zero pivot retries the
 same rung with cuSPARSE-style pivot boosting, an IC(0) breakdown retries
-with a Manteuffel diagonal shift, and transient faults (NaN injection,
-sync failures) earn one same-rung retry before the ladder descends.
+with a Manteuffel diagonal shift, and transient faults
+(:data:`~repro.resilience.guards.TRANSIENT_FAILURES`) earn one same-rung
+retry before the ladder descends.  The preconditioner rungs come from
+:func:`precond_ladder`, the one degradation order the serving circuit
+breaker walks too.
 
 Every attempt is recorded in a structured :class:`RobustSolveReport`
 naming its failure class and the rung that finally recovered — the
@@ -41,13 +44,31 @@ from ..solvers.cg import pcg
 from ..solvers.result import SolveResult, TerminationReason
 from ..solvers.stopping import StoppingCriterion
 from ..sparse.csr import CSRMatrix
-from .guards import FailureClass, GuardConfig, ResidualGuard, classify_failure
+from .guards import (TRANSIENT_FAILURES, FailureClass, GuardConfig,
+                     ResidualGuard, classify_failure)
 
 __all__ = ["FallbackRung", "FallbackPolicy", "AttemptRecord",
-           "RobustSolveReport", "default_ladder", "robust_spcg"]
+           "RobustSolveReport", "precond_ladder", "default_ladder",
+           "robust_spcg"]
 
-#: Failure classes worth one same-rung retry (the fault may be transient).
-_TRANSIENT = frozenset({FailureClass.NAN_OR_INF, FailureClass.SYNC_FAILURE})
+#: Preconditioner kinds in degradation order, most capable first.
+_DEGRADATION = ("ic0", "fsai", "jacobi")
+
+
+def precond_ladder(kind: str) -> tuple[str, ...]:
+    """Preconditioner kinds to try in turn, starting at *kind*.
+
+    The starting kind, then every kind after it on the degradation
+    order IC(0) → FSAI → Jacobi.  Kinds off that order (ILU(0), ILU(K),
+    SPAI) start before it, so a rung is never an upgrade.  FSAI needs
+    no factorization (no pivot can vanish) and its ``Gᵀ G`` is SPD by
+    construction, so it catches the breakdowns IC(0) shares with ILU
+    while staying far stronger than Jacobi; SPAI is no rung because its
+    symmetrized fit need not be SPD.  ``robust_spcg`` and the serving
+    circuit breaker both walk this ladder.
+    """
+    start = _DEGRADATION.index(kind) + 1 if kind in _DEGRADATION else 0
+    return (kind,) + _DEGRADATION[start:]
 
 
 @dataclass(frozen=True)
@@ -79,18 +100,11 @@ class FallbackRung:
 def default_ladder(preconditioner: str = "ilu0", *, k: int = 1,
                    ratios: tuple[float, ...] = (10.0, 5.0, 1.0)
                    ) -> tuple[FallbackRung, ...]:
-    """The default chosen→safe→full→IC0→FSAI→Jacobi→CG ladder.
+    """The default chosen→safe→full→…→CG ladder.
 
-    Rungs that would duplicate an earlier one (e.g. the unsparsified
-    rung when *preconditioner* is already ``"ic0"``) are elided.  The
-    FSAI rung sits between IC(0) and Jacobi: it needs no factorization
-    at all (per-row dense solves — a zero pivot cannot occur), its
-    ``Gᵀ G`` operator is SPD by construction, and its barrier-free
-    apply sidesteps the wavefront path entirely — so it catches
-    factorization breakdowns IC(0) shares with ILU while remaining a
-    far stronger rung than bare Jacobi.  SPAI is deliberately absent:
-    its symmetrized fit is not guaranteed SPD, which a *fallback* rung
-    must be.
+    After the two sparsified rungs, one unsparsified ``"pcg"`` rung per
+    kind of :func:`precond_ladder` (the first is *preconditioner*
+    itself, named ``"full"``), then plain CG.
     """
     rungs = [
         FallbackRung("spcg", "spcg", preconditioner, k=k),
@@ -98,12 +112,8 @@ def default_ladder(preconditioner: str = "ilu0", *, k: int = 1,
                      ratio=float(min(ratios)), k=k),
         FallbackRung("full", "pcg", preconditioner, k=k),
     ]
-    if preconditioner != "ic0":
-        rungs.append(FallbackRung("ic0", "pcg", "ic0"))
-    if preconditioner != "fsai":
-        rungs.append(FallbackRung("fsai", "pcg", "fsai"))
-    if preconditioner != "jacobi":
-        rungs.append(FallbackRung("jacobi", "pcg", "jacobi"))
+    rungs += [FallbackRung(kind, "pcg", kind)
+              for kind in precond_ladder(preconditioner)[1:]]
     rungs.append(FallbackRung("cg", "cg"))
     return tuple(rungs)
 
@@ -137,8 +147,8 @@ class FallbackPolicy:
     ic0_shift:
         Relative Manteuffel shift for the escalated retry.
     transient_retries:
-        Same-rung retries earned by transient failure classes
-        (NaN/Inf injection, sync failures).
+        Same-rung retries earned by the failure classes in
+        :data:`~repro.resilience.guards.TRANSIENT_FAILURES`.
     """
 
     rungs: tuple[FallbackRung, ...] | None = None
@@ -431,7 +441,7 @@ def robust_spcg(a: CSRMatrix, b: np.ndarray, *,
                     and policy.ic0_shift_retry and rung.precond == "ic0":
                 shifted = True
                 continue
-            if failure in _TRANSIENT and transient_left > 0:
+            if failure in TRANSIENT_FAILURES and transient_left > 0:
                 transient_left -= 1
                 continue
             break

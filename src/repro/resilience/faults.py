@@ -13,9 +13,9 @@ thread the plan through four injection points:
   preconditioner is factored — modeling sparsification zeroing a pivot
   or memory corruption of Â's value array;
 * **apply faults** (``nan_apply``, ``negate_apply``, ``freeze_apply``,
-  ``scale_apply``, ``offset_apply``) wrap the preconditioner and
-  perturb ``z = M⁻¹ r`` at a chosen application count — modeling
-  transient kernel faults;
+  ``scale_apply``, ``offset_apply``) wrap the preconditioner in a
+  :class:`FaultyPreconditioner` and perturb ``z = M⁻¹ r`` at a chosen
+  application count — modeling transient kernel faults;
 * **operator faults** (``scale_operator``) corrupt the system matrix
   the CG iteration multiplies by — modeling memory corruption of ``A``
   itself;
@@ -26,6 +26,13 @@ thread the plan through four injection points:
 Every fault is deterministic: triggers are counted, random corruption is
 seeded, and exhausted faults stay exhausted across retries (which is what
 lets the fallback ladder demonstrate recovery from *transient* faults).
+
+:class:`FaultyPreconditioner` and :class:`FaultyMatrix` are the one
+injection seam per kernel: attribute-delegating proxies that pass each
+``apply`` / ``matmat`` output through a *landing function* the fault
+schedule supplies.  :class:`FaultPlan` lands its count-triggered specs
+there; the serving chaos plan (:class:`repro.chaos.ChaosPlan`) lands its
+seeded per-boundary draws through the same proxies.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from ..precond.base import Preconditioner
 from ..sparse.csr import CSRMatrix
 
 __all__ = ["FaultSpec", "FaultPlan", "FaultyPreconditioner",
-           "MATRIX_FAULTS", "APPLY_FAULTS", "OPERATOR_FAULTS",
-           "TIMELINE_FAULTS"]
+           "FaultyMatrix", "MATRIX_FAULTS", "APPLY_FAULTS",
+           "OPERATOR_FAULTS", "TIMELINE_FAULTS"]
 
 #: Fault kinds that corrupt the matrix handed to the factorization.
 MATRIX_FAULTS = ("zero_pivot", "flip_diagonal", "corrupt_values")
@@ -228,7 +235,35 @@ class FaultPlan:
                 if s.kind in APPLY_FAULTS and self._in_scope(s, rung)]
         if not idxs:
             return m
-        return FaultyPreconditioner(m, self, tuple(idxs))
+        applies = 0
+
+        def land(z: np.ndarray) -> np.ndarray:
+            nonlocal applies
+            count = applies
+            applies += 1
+            for i in idxs:
+                spec = self.specs[i]
+                if count < spec.at_apply or not self._armed(i):
+                    continue
+                self._fired[i] += 1
+                if spec.kind == "nan_apply":
+                    z = z.copy()
+                    z[0] = spec.value
+                elif spec.kind == "negate_apply":
+                    z = -z
+                elif spec.kind == "scale_apply":
+                    z = z * spec.scale
+                elif spec.kind == "offset_apply":
+                    z = z + spec.scale
+                else:  # freeze_apply: replay the first perturbed-era output
+                    frozen = self._frozen.get(i)
+                    if frozen is None:
+                        self._frozen[i] = z.copy()
+                    else:
+                        z = frozen.copy()
+            return z
+
+        return FaultyPreconditioner(m, land)
 
     # -- timeline faults --------------------------------------------------
     def timeline_hook(self, rung: str | None = None):
@@ -274,61 +309,40 @@ def _diag_positions(a: CSRMatrix, rows: tuple[int, ...]) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-class FaultyPreconditioner(Preconditioner):
-    """Preconditioner wrapper that perturbs ``apply`` per a fault plan.
+class FaultyPreconditioner:
+    """Preconditioner proxy passing every ``apply`` output through *land*.
 
-    Delegates everything except :meth:`apply` to the wrapped operator so
-    the machine model prices the faulty operator exactly like the
-    healthy one (a transient fault does not change the cost structure).
+    Every other attribute delegates to the wrapped operator, so the
+    machine model prices the faulty operator exactly like the healthy
+    one (``value_dtype``, nonzeros, levels, barriers): a fault corrupts
+    numerics, never the cost structure.
     """
 
-    def __init__(self, inner: Preconditioner, plan: FaultPlan,
-                 spec_idxs: tuple[int, ...]):
+    def __init__(self, inner: Preconditioner, land):
         self._inner = inner
-        self._plan = plan
-        self._spec_idxs = spec_idxs
-        self._applies = 0
-        self.name = inner.name
+        self._land = land
 
-    @property
-    def n(self) -> int:
-        return self._inner.n
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
     def apply(self, r: np.ndarray, out: np.ndarray | None = None
               ) -> np.ndarray:
-        z = self._inner.apply(r, out=out)
-        plan = self._plan
-        count = self._applies
-        self._applies += 1
-        for i in self._spec_idxs:
-            spec = plan.specs[i]
-            if count < spec.at_apply or not plan._armed(i):
-                continue
-            plan._fired[i] += 1
-            if spec.kind == "nan_apply":
-                z = z.copy()
-                z[0] = spec.value
-            elif spec.kind == "negate_apply":
-                z = -z
-            elif spec.kind == "scale_apply":
-                z = z * spec.scale
-            elif spec.kind == "offset_apply":
-                z = z + spec.scale
-            else:  # freeze_apply: replay the first perturbed-era output
-                frozen = plan._frozen.get(i)
-                if frozen is None:
-                    plan._frozen[i] = z.copy()
-                else:
-                    z = frozen.copy()
-        return z
+        return self._land(self._inner.apply(r, out=out))
 
-    def apply_nnz(self) -> int:
-        return self._inner.apply_nnz()
 
-    def apply_levels(self) -> tuple[int, int]:
-        return self._inner.apply_levels()
+class FaultyMatrix:
+    """CSR-matrix proxy passing every block ``matmat`` output through
+    *land*; ``matvec`` and every other attribute (``indices``/``data``
+    for the ABFT checksum, fingerprints, pricing) read the true
+    matrix."""
 
-    def __getattr__(self, item):
-        # Expose e.g. ``solvers``/``factors`` only when the wrapped
-        # preconditioner has them, so cost-model duck typing still works.
-        return getattr(self._inner, item)
+    def __init__(self, inner: CSRMatrix, land):
+        self._inner = inner
+        self._land = land
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def matmat(self, x: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
+        return self._land(self._inner.matmat(x, out=out))

@@ -28,8 +28,8 @@ from ..errors import (AbortSolve, DeviceModelError, FillLimitExceeded,
                       SingularFactorError)
 from ..solvers.result import SolveResult, TerminationReason
 
-__all__ = ["FailureClass", "GuardTrip", "GuardConfig", "ResidualGuard",
-           "classify_failure"]
+__all__ = ["FailureClass", "TRANSIENT_FAILURES", "GuardTrip", "GuardConfig",
+           "ResidualGuard", "classify_failure"]
 
 
 class FailureClass(enum.Enum):
@@ -61,6 +61,15 @@ class FailureClass(enum.Enum):
     DEVICE_CRASH = "device_crash"
     #: Anything else the classifier could not name.
     UNKNOWN = "unknown"
+
+
+#: Failures a re-run may survive (the fault, not the configuration, is
+#: to blame): ``robust_spcg`` retries them on the same rung, the serving
+#: scheduler retries them from a checkpoint and counts them towards its
+#: circuit breaker.
+TRANSIENT_FAILURES = frozenset({
+    FailureClass.NAN_OR_INF, FailureClass.SYNC_FAILURE,
+    FailureClass.SILENT_CORRUPTION, FailureClass.DEVICE_CRASH})
 
 
 class GuardTrip(AbortSolve):

@@ -10,11 +10,14 @@ clock:
   re-enqueued after exponential backoff, resuming from its last
   *verified* checkpoint instead of iteration 0.
 * :class:`BreakerPolicy` — a per-fingerprint circuit breaker.  Repeated
-  guard trips on one matrix open the breaker, which downgrades that
-  fingerprint's dispatches one rung down the preconditioner ladder
-  (chosen kind → IC(0) → Jacobi): a cheaper, better-conditioned setup
-  that trades iterations for not tripping again.  Sustained success
-  after a cooldown closes it back up one rung at a time.
+  transient failures (:data:`~repro.resilience.guards.TRANSIENT_FAILURES`:
+  corruption, crashes, NaN breakdowns) on one matrix open the breaker,
+  which downgrades that fingerprint's dispatches one rung down
+  :func:`~repro.resilience.fallback.precond_ladder` (chosen kind →
+  IC(0) → FSAI → Jacobi, the ladder ``robust_spcg`` walks too): a
+  cheaper, better-conditioned setup that trades iterations for not
+  failing again.  Sustained success after a cooldown closes it back up
+  one rung at a time.
 * :class:`BrownoutPolicy` — graceful overload degradation.  When the
   queue's modeled backlog-seconds crosses ``enter_backlog_s`` the
   server *browns out*: dispatches run with a loosened tolerance and
@@ -32,29 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..resilience.fallback import precond_ladder
+
 __all__ = ["RetryPolicy", "BreakerPolicy", "BrownoutPolicy",
            "CircuitBreaker", "precond_ladder"]
-
-#: Downgrade severity of each preconditioner kind on the robustness
-#: ladder (higher = more conservative).  ``iluk`` shares ILU(0)'s rung:
-#: both are the "chosen ratio" start of the ladder.  The approximate-
-#: inverse family shares IC(0)'s rung — no factorization to break, so a
-#: request *starting* at spai/fsai downgrades straight to Jacobi, while
-#: ILU starters keep their existing ``ic0 → jacobi`` path unchanged.
-_LADDER_LEVEL = {"ilu0": 0, "iluk": 0, "ic0": 1, "spai": 1, "fsai": 1,
-                 "jacobi": 2}
-
-
-def precond_ladder(kind: str) -> tuple[str, ...]:
-    """Downgrade ladder starting at *kind*: ``kind → ic0 → jacobi``,
-    truncated so a rung is never an upgrade of the one before it."""
-    level = _LADDER_LEVEL.get(kind, 0)
-    ladder = [kind]
-    if level < _LADDER_LEVEL["ic0"]:
-        ladder.append("ic0")
-    if level < _LADDER_LEVEL["jacobi"]:
-        ladder.append("jacobi")
-    return tuple(ladder)
 
 
 @dataclass(frozen=True)
@@ -105,10 +89,10 @@ class RetryPolicy:
 class BreakerPolicy:
     """Per-fingerprint circuit-breaker knobs.
 
-    ``threshold`` consecutive-ish failures (guard trips, corruption,
-    crashes) on one fingerprint open the breaker one rung; after
-    ``cooldown_s`` modeled seconds of the downgraded configuration
-    succeeding, it closes one rung back up.
+    ``threshold`` consecutive-ish transient failures (corruption,
+    crashes, NaN breakdowns) on one fingerprint open the breaker one
+    rung; after ``cooldown_s`` modeled seconds of the downgraded
+    configuration succeeding, it closes one rung back up.
     """
 
     threshold: int = 3

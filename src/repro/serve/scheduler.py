@@ -48,6 +48,7 @@ from ..obs.metrics import get_metrics
 from ..obs.trace import get_recorder
 from ..perf.cache import ArtifactCache
 from ..perf.fingerprint import matrix_fingerprint
+from ..resilience.guards import TRANSIENT_FAILURES, classify_failure
 from ..solvers.result import TerminationReason
 from ..solvers.stopping import StoppingCriterion
 from ..sparse.csr import CSRMatrix
@@ -60,13 +61,6 @@ from .request import (RequestStatus, ServeOutcome, ServeRequest,
 
 __all__ = ["BatchingWindow", "DispatchRecord", "ServeReport",
            "ServeScheduler", "percentile"]
-
-#: Failure reasons worth a checkpointed retry: the iterate is gone or
-#: untrustworthy, but a re-run (from the last verified checkpoint, or
-#: from scratch) can still produce the answer.
-_RETRYABLE_REASONS = (TerminationReason.CORRUPTED,
-                      TerminationReason.DEVICE_CRASH,
-                      TerminationReason.NUMERICAL_BREAKDOWN)
 
 
 def percentile(values, q: float) -> float:
@@ -1009,10 +1003,14 @@ class ServeScheduler:
             req = self._requests[rid]
             res = block.column(pos)
             t_done = clock_after.get(int(died[pos]), t_dispatch)
-            if res.reason in _RETRYABLE_REASONS:
+            # A transient failure leaves the iterate gone or
+            # untrustworthy, but a re-run (from the last verified
+            # checkpoint, or from scratch) can still produce the answer.
+            transient = (not res.converged and classify_failure(res)
+                         in TRANSIENT_FAILURES)
+            if transient:
                 self._breaker_failure(fp)
-            if (self.retry is not None
-                    and res.reason in _RETRYABLE_REASONS
+            if (self.retry is not None and transient
                     and self._attempts.get(rid, 0)
                     < self.retry.max_retries):
                 # Checkpointed retry: the request re-arrives after
@@ -1046,8 +1044,7 @@ class ServeScheduler:
             else:
                 status = RequestStatus.COMPLETED
                 metrics.inc("serve.completed")
-                if self.retry is not None \
-                        and res.reason in _RETRYABLE_REASONS:
+                if self.retry is not None and transient:
                     metrics.inc("serve.retries_exhausted")
             if res.converged:
                 n_conv += 1

@@ -391,8 +391,8 @@ class TestRetryBookkeeping:
 # ----------------------------------------------------------------------
 class TestBreakerAndBrownout:
     def test_precond_ladder_never_upgrades(self):
-        assert precond_ladder("ilu0") == ("ilu0", "ic0", "jacobi")
-        assert precond_ladder("ic0") == ("ic0", "jacobi")
+        assert precond_ladder("ilu0") == ("ilu0", "ic0", "fsai", "jacobi")
+        assert precond_ladder("ic0") == ("ic0", "fsai", "jacobi")
         assert precond_ladder("jacobi") == ("jacobi",)
 
     def test_circuit_breaker_opens_and_cools_down(self):

@@ -11,15 +11,23 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.resilience.fallback as fallback_module
+import repro.serve.scheduler as scheduler_module
+from repro.chaos import ChaosConfig, ChaosPlan
 from repro.core import spcg
+from repro.core.spcg import _PRECONDITIONERS, make_preconditioner
 from repro.errors import (AbortSolve, DeviceModelError,
                           NotPositiveDefiniteError, SingularFactorError)
+from repro.machine import A100, iteration_value_traffic
+from repro.machine.kernels import iteration_cost
 from repro.machine.timeline import Timeline
-from repro.resilience import (FailureClass, FallbackPolicy, FaultPlan,
-                              FaultSpec, GuardConfig, GuardTrip,
-                              ResidualGuard, RobustSolveReport,
-                              classify_failure, default_ladder,
-                              robust_spcg)
+from repro.resilience import (TRANSIENT_FAILURES, FailureClass,
+                              FallbackPolicy, FaultPlan, FaultSpec,
+                              GuardConfig, GuardTrip, ResidualGuard,
+                              RobustSolveReport, classify_failure,
+                              default_ladder, robust_spcg)
+from repro.serve import (BreakerPolicy, RetryPolicy, ServeScheduler,
+                         precond_ladder)
 from repro.solvers import (SolveResult, StoppingCriterion,
                            TerminationReason, pcg)
 from repro.sparse import CSRMatrix, stencil_poisson_2d
@@ -262,6 +270,23 @@ class TestFaultPlan:
         assert wrapped is not m
         assert wrapped.n == m.n
 
+    @pytest.mark.parametrize("wrap", [
+        lambda m: FaultPlan(FaultSpec("nan_apply")).wrap_preconditioner(m),
+        lambda m: ChaosPlan(ChaosConfig()).wrap_preconditioner(m),
+    ], ids=["fault_plan", "chaos_plan"])
+    def test_wrapped_preconditioner_priced_like_inner(self, poisson20, wrap):
+        """A fault proxy keeps the wrapped operator's cost metadata: a
+        mixed-precision factor stays priced at float32 value bytes."""
+        m = make_preconditioner(poisson20, "ilu0", precision="mixed",
+                                cache=False)
+        wrapped = wrap(m)
+        assert wrapped is not m
+        assert wrapped.value_dtype == m.value_dtype == np.float32
+        assert iteration_value_traffic(A100, poisson20, wrapped) \
+            == iteration_value_traffic(A100, poisson20, m)
+        assert iteration_cost(A100, poisson20, wrapped).total \
+            == iteration_cost(A100, poisson20, m).total
+
 
 class TestTimelineFaults:
     def test_sync_failure_raises(self):
@@ -413,6 +438,10 @@ class TestClassifyFailure:
         assert classify_failure(
             res(TerminationReason.NUMERICAL_BREAKDOWN)) \
             is FailureClass.NAN_OR_INF
+        assert classify_failure(res(TerminationReason.CORRUPTED)) \
+            is FailureClass.SILENT_CORRUPTION
+        assert classify_failure(res(TerminationReason.DEVICE_CRASH)) \
+            is FailureClass.DEVICE_CRASH
         trip = GuardTrip(FailureClass.STAGNATION, 7, 1.0)
         assert classify_failure(res(TerminationReason.GUARD_TRIPPED,
                                     extra={"abort": trip})) \
@@ -491,6 +520,95 @@ class TestFallbackLadder:
         assert report.converged
         assert seen[0] == 0
         assert len(seen) >= 2
+
+
+# ---------------------------------------------------------------------------
+# One failure policy: robust_spcg and the serving breaker agree.
+# ---------------------------------------------------------------------------
+
+#: The degradation order both ladders descend.
+_DEGRADATION = ("ic0", "fsai", "jacobi")
+
+#: Reasons whose serving retry is pinned, whatever the taxonomy says.
+_SCHEDULER_RETRIES = {
+    TerminationReason.NUMERICAL_BREAKDOWN: True,
+    TerminationReason.CORRUPTED: True,
+    TerminationReason.DEVICE_CRASH: True,
+    TerminationReason.INDEFINITE: False,
+    TerminationReason.MAX_ITERATIONS: False,
+}
+
+_FAILED_REASONS = [r for r in TerminationReason
+                   if r is not TerminationReason.CONVERGED]
+
+
+def _fail_first(solver, mark):
+    """Wrap *solver* so its first result is rewritten by *mark*."""
+    calls = []
+
+    def run(*args, **kwargs):
+        res = solver(*args, **kwargs)
+        if not calls:
+            res = mark(res)
+        calls.append(res)
+        return res
+
+    return run
+
+
+class TestOneFailurePolicy:
+    @pytest.mark.parametrize("kind", _PRECONDITIONERS)
+    def test_ladders_agree_and_never_upgrade(self, kind):
+        fallback = tuple(r.precond for r in default_ladder(kind)
+                         if r.method == "pcg")
+        breaker = precond_ladder(kind)
+        assert fallback == breaker
+        for ladder in (fallback, breaker):
+            ranks = [_DEGRADATION.index(k) if k in _DEGRADATION else -1
+                     for k in ladder]
+            assert ranks == sorted(set(ranks)), ladder
+
+    @pytest.mark.parametrize("reason", _FAILED_REASONS,
+                             ids=[r.value for r in _FAILED_REASONS])
+    def test_transient_reasons_retried_by_both_paths(self, reason,
+                                                     monkeypatch):
+        failed = SolveResult(x=np.zeros(1), converged=False, n_iters=1,
+                             residual_norms=np.array([1.0]),
+                             reason=reason, tolerance=1e-12)
+        transient = classify_failure(failed) in TRANSIENT_FAILURES
+        assert transient is _SCHEDULER_RETRIES.get(reason, transient)
+
+        # robust_spcg: a transient first attempt reruns the same rung.
+        def fail_solve(res):
+            return dataclasses.replace(res, converged=False, reason=reason)
+
+        monkeypatch.setattr(fallback_module, "pcg",
+                            _fail_first(fallback_module.pcg, fail_solve))
+        a = stencil_poisson_2d(8)
+        report = robust_spcg(a, _rhs(a))
+        assert report.converged
+        assert report.attempts[0].rung == "spcg"
+        assert (report.attempts[1].rung == "spcg") is transient
+
+        # Scheduler: a transient failure is retried and counted by the
+        # breaker (threshold 1 opens it, so the retry runs one rung down).
+        def fail_column(block):
+            block.converged[0] = False
+            block.reasons[0] = reason
+            return block
+
+        monkeypatch.setattr(
+            scheduler_module, "pcg_block",
+            _fail_first(scheduler_module.pcg_block, fail_column))
+        sched = ServeScheduler(preconditioner="ilu0",
+                               retry=RetryPolicy(max_retries=1),
+                               breaker=BreakerPolicy(threshold=1))
+        sched.submit(a, _rhs(a))
+        report = sched.run()
+        (out,) = report.outcomes
+        assert out.extra["attempts"] == int(transient)
+        assert [d.kind for d in report.dispatches] \
+            == (["ilu0", "ic0"] if transient else ["ilu0"])
 
 
 # ---------------------------------------------------------------------------
