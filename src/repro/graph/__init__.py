@@ -17,6 +17,7 @@ from .aggregation import AggregatedSchedule, aggregate_levels
 from .dag import DependenceDAG, dependence_dag
 from .levels import (
     LevelSchedule,
+    level_profile,
     level_schedule,
     level_schedule_reference,
     wavefront_count,
@@ -25,6 +26,7 @@ from .partition import (
     RowPartition,
     partition_profiles,
     partition_rows,
+    split_fences,
     split_partition,
 )
 from .stats import WavefrontStats, wavefront_reduction_percent, wavefront_stats
@@ -35,12 +37,14 @@ __all__ = [
     "DependenceDAG",
     "dependence_dag",
     "LevelSchedule",
+    "level_profile",
     "level_schedule",
     "level_schedule_reference",
     "wavefront_count",
     "RowPartition",
     "partition_rows",
     "partition_profiles",
+    "split_fences",
     "split_partition",
     "WavefrontStats",
     "wavefront_stats",

@@ -29,6 +29,7 @@ __all__ = [
     "LevelSchedule",
     "level_schedule",
     "level_schedule_reference",
+    "level_profile",
     "wavefront_count",
 ]
 
@@ -168,6 +169,24 @@ def level_schedule(tri: CSRMatrix, *, kind: str = "lower") -> LevelSchedule:
         raise ValueError("dependence graph contains a cycle; "
                          "input is not lower triangular")
     return _schedule_from_levels(level_of)
+
+
+def level_profile(tri: CSRMatrix, schedule: LevelSchedule, kind: str
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-wavefront ``(rows, nnz)`` of a level-scheduled sweep of *tri*.
+
+    Pattern-only (no executor is built): ``nnz`` counts each wavefront's
+    off-diagonal entries plus one diagonal operation per row, matching
+    :meth:`~repro.precond.triangular.ScheduledTriangularSolver.kernel_profile`.
+    """
+    n = tri.n_rows
+    rid = np.repeat(np.arange(n, dtype=np.int64), tri.row_lengths())
+    off = tri.indices < rid if kind == "lower" else tri.indices > rid
+    off_per_row = np.bincount(rid[off], minlength=n)
+    cum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(off_per_row[schedule.rows], out=cum[1:])
+    rows_per_level = np.diff(schedule.level_ptr)
+    return rows_per_level, np.diff(cum[schedule.level_ptr]) + rows_per_level
 
 
 def wavefront_count(a: CSRMatrix) -> int:

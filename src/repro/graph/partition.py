@@ -30,11 +30,13 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..sparse.csr import CSRMatrix
-from .levels import level_schedule
+from ..sparse.ops import _extract
+from .levels import level_profile, level_schedule
 
 __all__ = [
     "RowPartition",
     "partition_rows",
+    "split_fences",
     "split_partition",
     "partition_profiles",
 ]
@@ -167,6 +169,23 @@ def partition_rows(tri: CSRMatrix, n_parts: int, *,
                         coupling_rows=coupling_rows)
 
 
+def split_fences(tri: CSRMatrix, part: RowPartition
+                 ) -> tuple[CSRMatrix, CSRMatrix]:
+    """Split *tri* into its block diagonal ``D`` and coupling block ``C``.
+
+    Both are n×n with **global** indices: ``D`` keeps every entry whose
+    row and column lie in the same partition, ``C`` every entry that
+    crosses a fence, and ``D + C = tri``.  ``D`` has no edge between
+    partitions, so its wavefront ``k`` is the union of every
+    partition's wavefront ``k``.  Entry order is preserved, so both are
+    canonical whenever *tri* is.
+    """
+    if part.n != tri.n_rows:
+        raise ShapeError("partition order does not match the matrix")
+    same = part.part_of(tri.row_ids()) == part.part_of(tri.indices)
+    return _extract(tri, same), _extract(tri, ~same)
+
+
 def split_partition(tri: CSRMatrix, part: RowPartition
                     ) -> tuple[list[CSRMatrix], CSRMatrix]:
     """Split *tri* into per-partition diagonal blocks + the coupling block.
@@ -174,33 +193,17 @@ def split_partition(tri: CSRMatrix, part: RowPartition
     Returns ``(subs, coupling)`` where ``subs[p]`` is the diagonal
     sub-triangle of partition *p* with **local** indices (shape
     ``(rows_p, rows_p)``) and ``coupling`` is the n×n block of every
-    fence-crossing entry with **global** indices.  Entry order is
-    preserved (row-major, ascending columns), so the blocks are
-    canonical whenever *tri* is.
+    fence-crossing entry with **global** indices (see
+    :func:`split_fences`).
     """
-    n = tri.n_rows
-    if part.n != n:
-        raise ShapeError("partition order does not match the matrix")
-    fences = part.fences
-    rid = np.repeat(np.arange(n, dtype=np.int64), tri.row_lengths())
-    same = (np.searchsorted(fences, rid, side="right")
-            == np.searchsorted(fences, tri.indices, side="right"))
+    diag, coupling = split_fences(tri, part)
     subs: list[CSRMatrix] = []
     for p in range(part.n_parts):
         lo, hi = part.rows_of(p)
-        mask = same & (rid >= lo) & (rid < hi)
-        counts = np.bincount(rid[mask] - lo, minlength=hi - lo)
-        indptr = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        subs.append(CSRMatrix(indptr, tri.indices[mask] - lo,
-                              tri.data[mask], (hi - lo, hi - lo),
-                              check=False))
-    cmask = ~same
-    ccounts = np.bincount(rid[cmask], minlength=n)
-    cindptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(ccounts, out=cindptr[1:])
-    coupling = CSRMatrix(cindptr, tri.indices[cmask], tri.data[cmask],
-                         (n, n), check=False)
+        s0, s1 = int(diag.indptr[lo]), int(diag.indptr[hi])
+        subs.append(CSRMatrix(diag.indptr[lo:hi + 1] - s0,
+                              diag.indices[s0:s1] - lo, diag.data[s0:s1],
+                              (hi - lo, hi - lo), check=False))
     return subs, coupling
 
 
@@ -208,24 +211,10 @@ def partition_profiles(tri: CSRMatrix, part: RowPartition
                        ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-partition ``(rows_per_level, nnz_per_level)`` kernel profiles.
 
-    Pattern-only: level-schedules each diagonal sub-triangle and counts
-    its off-diagonal entries per wavefront (plus one diagonal op per
-    row, matching
-    :meth:`~repro.precond.triangular.ScheduledTriangularSolver.kernel_profile`).
-    Used by the cost-model planner without constructing executors.
+    Pattern-only: level-schedules each diagonal sub-triangle and profiles
+    it with :func:`~repro.graph.levels.level_profile`.  Used by the
+    cost-model planner without constructing executors.
     """
     subs, _ = split_partition(tri, part)
-    profiles = []
-    for sub in subs:
-        m = sub.n_rows
-        sched = level_schedule(sub, kind=part.kind)
-        srid = np.repeat(np.arange(m, dtype=np.int64), sub.row_lengths())
-        off = sub.indices < srid if part.kind == "lower" \
-            else sub.indices > srid
-        off_per_row = np.bincount(srid[off], minlength=m)
-        cum = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(off_per_row[sched.rows], out=cum[1:])
-        rows_per_level = np.diff(sched.level_ptr)
-        nnz_off = np.diff(cum[sched.level_ptr])
-        profiles.append((rows_per_level, nnz_off + rows_per_level))
-    return profiles
+    return [level_profile(sub, level_schedule(sub, kind=part.kind),
+                          part.kind) for sub in subs]

@@ -2,9 +2,16 @@
 
 Implements the preconditioning stack of the paper from scratch:
 
-* :mod:`~repro.precond.triangular` — forward/backward substitution, both a
-  sequential reference and the wavefront (level-scheduled) executor whose
-  per-level segmented kernel mirrors one GPU kernel launch per wavefront;
+* :mod:`~repro.precond.triangular` — forward/backward substitution: a
+  sequential reference, the wavefront (level-scheduled) executor whose
+  per-level segmented kernel mirrors one GPU kernel launch per
+  wavefront, and the partitioned executor, which runs that wavefront
+  executor over the factor's block diagonal plus a coupling correction;
+* :mod:`~repro.precond.engine` — engine selection
+  (:func:`~repro.precond.engine.make_triangular_solver`) and
+  :class:`~repro.precond.engine.TwoSweepPreconditioner`, the one
+  forward-then-backward-sweep apply that ILU(0), ILU(K), IC(0), ILUT
+  and SSOR share (they differ only in their factorization);
 * :mod:`~repro.precond.ilu0` — zero-fill incomplete LU (the cuSPARSE
   baseline in the paper);
 * :mod:`~repro.precond.iluk` — level-of-fill ILU(K) (the SuperLU-based
@@ -35,6 +42,7 @@ from .triangular import (
 from .engine import (
     ENGINES,
     TrisolvePlan,
+    TwoSweepPreconditioner,
     make_triangular_solver,
     plan_trisolve,
 )
@@ -57,6 +65,7 @@ __all__ = [
     "TrisolvePlan",
     "make_triangular_solver",
     "plan_trisolve",
+    "TwoSweepPreconditioner",
     "solve_lower_sequential",
     "solve_upper_sequential",
     "ILUFactors",

@@ -1,13 +1,15 @@
-"""Triangular-solve engine selection: level-scheduled vs partitioned.
+"""Triangular-solve engine selection and the two-sweep preconditioner.
 
-The repo now carries two SpTRSV executors occupying different points in
-the sync/parallelism design space:
+Two SpTRSV executors occupy different points in the sync/parallelism
+design space:
 
 * :class:`~repro.precond.triangular.ScheduledTriangularSolver` — maximal
   row parallelism, one device barrier per wavefront;
 * :class:`~repro.precond.triangular.PartitionedTriangularSolver` —
   ``P`` fenced sub-triangles with block-local syncs plus a Jacobi
-  correction loop, two device barriers per sweep.
+  correction loop, two device barriers per sweep.  It executes as one
+  level-scheduled sweep over the factor's block diagonal per correction
+  round, so all partitions' level-*k* rows run as one kernel.
 
 Which wins is a property of the *factor*: deep narrow wavefront chains
 (band-limited factors, the regime sparsification helps least) favour
@@ -17,8 +19,12 @@ of the pipeline reports — and ``engine="auto"`` picks the cheaper one
 per factor.  Plans are pattern-only, so they are memoized in
 :mod:`repro.perf` by structure fingerprint like the other inspector
 artifacts (:func:`repro.perf.cache.cached_trisolve_plan`).
-"""
 
+:class:`TwoSweepPreconditioner` is the one place a triangular-factor
+preconditioner turns into two sweeps: every such class builds both
+executors through :func:`make_triangular_solver` and inherits its
+apply and cost metadata from it.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -26,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
-from ..graph.levels import LevelSchedule, level_schedule
+from ..graph.levels import LevelSchedule, level_profile, level_schedule
 from ..graph.partition import RowPartition, partition_profiles, partition_rows
+from .base import Preconditioner
 from .triangular import (
     PartitionedTriangularSolver,
     ScheduledTriangularSolver,
@@ -35,7 +42,7 @@ from .triangular import (
 )
 
 __all__ = ["ENGINES", "PART_CANDIDATES", "TrisolvePlan", "plan_trisolve",
-           "make_triangular_solver"]
+           "make_triangular_solver", "TwoSweepPreconditioner"]
 
 #: Accepted values of the ``engine`` knob everywhere it appears
 #: (preconditioner constructors, ``spcg``, the CLI).
@@ -80,21 +87,6 @@ class TrisolvePlan:
         return self.levels_seconds / self.partitioned_seconds
 
 
-def _levels_profile(tri: CSRMatrix, sched: LevelSchedule, kind: str
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-wavefront ``(rows, nnz)`` of the level-scheduled executor,
-    computed from the schedule alone (pattern-only — no executor)."""
-    n = tri.n_rows
-    rid = np.repeat(np.arange(n, dtype=np.int64), tri.row_lengths())
-    off = tri.indices < rid if kind == "lower" else tri.indices > rid
-    off_per_row = np.bincount(rid[off], minlength=n)
-    cum = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(off_per_row[sched.rows], out=cum[1:])
-    rows_per_level = np.diff(sched.level_ptr)
-    nnz_off = np.diff(cum[sched.level_ptr])
-    return rows_per_level, nnz_off + rows_per_level
-
-
 def plan_trisolve(tri: CSRMatrix, *, kind: str = "lower",
                   engine: str = "auto", n_parts: int | None = None,
                   device=None,
@@ -117,7 +109,7 @@ def plan_trisolve(tri: CSRMatrix, *, kind: str = "lower",
     dev = A100 if device is None else device
     sched = schedule if schedule is not None else level_schedule(tri,
                                                                  kind=kind)
-    rows_pl, nnz_pl = _levels_profile(tri, sched, kind)
+    rows_pl, nnz_pl = level_profile(tri, sched, kind)
     t_levels = time_trisolve(dev, rows_pl, nnz_pl)
 
     n = tri.n_rows
@@ -162,22 +154,95 @@ def make_triangular_solver(tri: CSRMatrix, *, kind: str = "lower",
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "levels":
-        return ScheduledTriangularSolver(tri, kind=kind,
-                                         unit_diagonal=unit_diagonal,
-                                         schedule=schedule,
-                                         pivot_rtol=pivot_rtol)
-    if plan is None:
-        plan = plan_trisolve(tri, kind=kind, engine=engine,
-                             n_parts=n_parts, device=device,
-                             schedule=schedule)
-    if plan.engine == "levels":
-        return ScheduledTriangularSolver(tri, kind=kind,
-                                         unit_diagonal=unit_diagonal,
-                                         schedule=schedule,
-                                         pivot_rtol=pivot_rtol)
-    return PartitionedTriangularSolver(tri, kind=kind,
-                                       unit_diagonal=unit_diagonal,
-                                       n_parts=plan.n_parts,
-                                       partition=partition,
-                                       pivot_rtol=pivot_rtol)
+    if engine != "levels":
+        if plan is None:
+            plan = plan_trisolve(tri, kind=kind, engine=engine,
+                                 n_parts=n_parts, device=device,
+                                 schedule=schedule)
+        if plan.engine == "partitioned":
+            return PartitionedTriangularSolver(tri, kind=kind,
+                                               unit_diagonal=unit_diagonal,
+                                               n_parts=plan.n_parts,
+                                               partition=partition,
+                                               pivot_rtol=pivot_rtol)
+    return ScheduledTriangularSolver(tri, kind=kind,
+                                     unit_diagonal=unit_diagonal,
+                                     schedule=schedule,
+                                     pivot_rtol=pivot_rtol)
+
+
+class TwoSweepPreconditioner(Preconditioner):
+    """``M⁻¹ r = U⁻¹ (s ⊙ L⁻¹ r)``: a forward sweep, then a backward one.
+
+    The one apply of every triangular-factor preconditioner (ILU(0),
+    ILU(K), IC(0), ILUT, SSOR) — Algorithm 1, line 13.  A subclass
+    computes its factors and passes them here; both sweeps are built by
+    :func:`make_triangular_solver` for the requested *engine*, and the
+    cost metadata comes from the factors, whatever the engine.
+
+    Parameters
+    ----------
+    lower, upper:
+        The forward (lower) and backward (upper) triangular factors.
+    unit_lower:
+        ``lower`` stores only the strict triangle (implicit unit
+        diagonal, the LU convention); one op per row is still charged.
+    engine, n_parts, device:
+        SpTRSV executor choice, forwarded to
+        :func:`make_triangular_solver`.
+    schedules:
+        Optional precomputed ``(lower, upper)`` wavefront schedules;
+        computed here otherwise.
+    scale:
+        Optional per-row scale applied between the sweeps (SSOR's middle
+        diagonal); charged one op per row.
+    """
+
+    def __init__(self, lower: CSRMatrix, upper: CSRMatrix, *,
+                 unit_lower: bool, engine: str,
+                 n_parts: int | None = None, device=None,
+                 schedules: tuple[LevelSchedule, LevelSchedule] | None = None,
+                 scale: np.ndarray | None = None):
+        if schedules is None:
+            schedules = (level_schedule(lower, kind="lower"),
+                         level_schedule(upper, kind="upper"))
+        self._fwd = make_triangular_solver(
+            lower, kind="lower", unit_diagonal=unit_lower, engine=engine,
+            n_parts=n_parts, device=device, schedule=schedules[0])
+        self._bwd = make_triangular_solver(
+            upper, kind="upper", unit_diagonal=False, engine=engine,
+            n_parts=n_parts, device=device, schedule=schedules[1])
+        #: Engines the (forward, backward) sweeps resolved to.
+        self.engine = (self._fwd.engine, self._bwd.engine)
+        self._scale = scale
+        self._levels = (schedules[0].n_levels, schedules[1].n_levels)
+        n = lower.n_rows
+        self._nnz = (lower.nnz + upper.nnz + (n if unit_lower else 0)
+                     + (n if scale is not None else 0))
+
+    @property
+    def n(self) -> int:
+        return self._fwd.n
+
+    @property
+    def value_dtype(self) -> np.dtype:
+        return np.dtype(self._fwd.dtype)
+
+    def apply(self, r: np.ndarray, out: np.ndarray | None = None
+              ) -> np.ndarray:
+        """``z = U⁻¹ (s ⊙ L⁻¹ r)`` via two triangular sweeps."""
+        y = self._fwd.solve(r)
+        if self._scale is not None:
+            y = y * (self._scale if y.ndim == 1 else self._scale[:, None])
+        return self._bwd.solve(y, out=out)
+
+    def apply_nnz(self) -> int:
+        return self._nnz
+
+    def apply_levels(self) -> tuple[int, int]:
+        """Wavefronts of the factors' level schedules (engine-independent)."""
+        return self._levels
+
+    def solvers(self) -> tuple:
+        """The (forward, backward) triangular solvers, for the cost model."""
+        return self._fwd, self._bwd

@@ -23,8 +23,8 @@ from ..graph.levels import LevelSchedule
 from ..perf.cache import cached_level_schedule
 from ..perf.vectorized import ilu_numeric_vectorized
 from ..sparse.csr import CSRMatrix
-from .base import Preconditioner
-from .triangular import ScheduledTriangularSolver
+from .engine import TwoSweepPreconditioner
+from .triangular import solve_lower_sequential, solve_upper_sequential
 
 __all__ = ["ILUFactors", "ilu0", "ilu_numeric_inplace", "ILU0Preconditioner"]
 
@@ -213,7 +213,7 @@ def ilu0(a: CSRMatrix, *, raise_on_zero_pivot: bool = True,
     return _split_factored(a, fdata.astype(a.dtype, copy=False), flops)
 
 
-class ILU0Preconditioner(Preconditioner):
+class ILU0Preconditioner(TwoSweepPreconditioner):
     """PCG preconditioner applying ``M⁻¹ = U⁻¹ L⁻¹`` from ILU(0) factors.
 
     Parameters
@@ -249,57 +249,20 @@ class ILU0Preconditioner(Preconditioner):
                            pivot_boost=pivot_boost)
         self.factors = factors
         self.scheduled = bool(scheduled)
-        if engine == "levels":
-            self._fwd = ScheduledTriangularSolver(
-                factors.lower, kind="lower", unit_diagonal=True,
-                schedule=factors.lower_schedule)
-            self._bwd = ScheduledTriangularSolver(
-                factors.upper, kind="upper", unit_diagonal=False,
-                schedule=factors.upper_schedule)
-        else:
-            from .engine import make_triangular_solver
-
-            self._fwd = make_triangular_solver(
-                factors.lower, kind="lower", unit_diagonal=True,
-                engine=engine, n_parts=n_parts, device=device,
-                schedule=factors.lower_schedule)
-            self._bwd = make_triangular_solver(
-                factors.upper, kind="upper", unit_diagonal=False,
-                engine=engine, n_parts=n_parts, device=device,
-                schedule=factors.upper_schedule)
-        #: Engines the (forward, backward) sweeps resolved to.
-        self.engine = (self._fwd.engine, self._bwd.engine)
-
-    @property
-    def n(self) -> int:
-        return self.factors.n
-
-    @property
-    def value_dtype(self) -> np.dtype:
-        return np.dtype(self.factors.lower.dtype)
+        super().__init__(factors.lower, factors.upper, unit_lower=True,
+                         engine=engine, n_parts=n_parts, device=device,
+                         schedules=(factors.lower_schedule,
+                                    factors.upper_schedule))
 
     def apply(self, r: np.ndarray, out: np.ndarray | None = None
               ) -> np.ndarray:
-        """``z = U⁻¹ (L⁻¹ r)`` via two wavefront-scheduled sweeps."""
+        """``z = U⁻¹ (L⁻¹ r)``; ``scheduled=False`` runs the sequential
+        reference sweeps instead."""
         if self.scheduled:
-            y = self._fwd.solve(r)
-            return self._bwd.solve(y, out=out)
-        from .triangular import solve_lower_sequential, solve_upper_sequential
-
+            return super().apply(r, out=out)
         y = solve_lower_sequential(self.factors.lower, r, unit_diagonal=True)
         z = solve_upper_sequential(self.factors.upper, y)
         if out is not None:
             out[...] = z
             return out
         return z
-
-    def apply_nnz(self) -> int:
-        return self.factors.nnz + self.n  # implicit unit diagonal ops
-
-    def apply_levels(self) -> tuple[int, int]:
-        return (self.factors.lower_schedule.n_levels,
-                self.factors.upper_schedule.n_levels)
-
-    def solvers(self) -> tuple:
-        """The (forward, backward) triangular solvers, for the cost model."""
-        return self._fwd, self._bwd

@@ -23,9 +23,8 @@ import numpy as np
 from ..errors import ShapeError, SparseFormatError
 from ..perf.vectorized import ilu_numeric_vectorized
 from ..sparse.csr import CSRMatrix
-from .base import Preconditioner
+from .engine import TwoSweepPreconditioner
 from .ilu0 import ILUFactors, _split_factored, ilu_numeric_inplace
-from .triangular import ScheduledTriangularSolver
 
 __all__ = ["SymbolicILU", "iluk_symbolic", "iluk", "ILUKPreconditioner"]
 
@@ -199,7 +198,7 @@ def iluk(a: CSRMatrix, k: int, *, raise_on_zero_pivot: bool = True,
                            flops)
 
 
-class ILUKPreconditioner(Preconditioner):
+class ILUKPreconditioner(TwoSweepPreconditioner):
     """PCG preconditioner from ILU(K) factors (wavefront-scheduled).
 
     Parameters
@@ -225,47 +224,7 @@ class ILUKPreconditioner(Preconditioner):
                            pivot_boost=pivot_boost)
         self.factors = factors
         self.k = int(k)
-        if engine == "levels":
-            self._fwd = ScheduledTriangularSolver(
-                factors.lower, kind="lower", unit_diagonal=True,
-                schedule=factors.lower_schedule)
-            self._bwd = ScheduledTriangularSolver(
-                factors.upper, kind="upper", unit_diagonal=False,
-                schedule=factors.upper_schedule)
-        else:
-            from .engine import make_triangular_solver
-
-            self._fwd = make_triangular_solver(
-                factors.lower, kind="lower", unit_diagonal=True,
-                engine=engine, n_parts=n_parts, device=device,
-                schedule=factors.lower_schedule)
-            self._bwd = make_triangular_solver(
-                factors.upper, kind="upper", unit_diagonal=False,
-                engine=engine, n_parts=n_parts, device=device,
-                schedule=factors.upper_schedule)
-        self.engine = (self._fwd.engine, self._bwd.engine)
-
-    @property
-    def n(self) -> int:
-        return self.factors.n
-
-    @property
-    def value_dtype(self) -> np.dtype:
-        return np.dtype(self.factors.lower.dtype)
-
-    def apply(self, r: np.ndarray, out: np.ndarray | None = None
-              ) -> np.ndarray:
-        """``z = U⁻¹ (L⁻¹ r)``."""
-        y = self._fwd.solve(r)
-        return self._bwd.solve(y, out=out)
-
-    def apply_nnz(self) -> int:
-        return self.factors.nnz + self.n
-
-    def apply_levels(self) -> tuple[int, int]:
-        return (self.factors.lower_schedule.n_levels,
-                self.factors.upper_schedule.n_levels)
-
-    def solvers(self) -> tuple:
-        """The (forward, backward) triangular solvers, for the cost model."""
-        return self._fwd, self._bwd
+        super().__init__(factors.lower, factors.upper, unit_lower=True,
+                         engine=engine, n_parts=n_parts, device=device,
+                         schedules=(factors.lower_schedule,
+                                    factors.upper_schedule))

@@ -17,8 +17,9 @@ executor strategies are provided, both inspector–executor pattern:
   independent diagonal sub-triangles solved concurrently (block-local
   syncs) plus an off-diagonal coupling block repaired by a block-Jacobi
   correction loop that terminates exactly after ``max(depth)`` sweeps.
-  On deep-wavefront factors this trades ``n_levels`` device barriers
-  for ``2·n_sweeps`` of them.
+  The sub-triangles form one block-diagonal matrix swept by a single
+  :class:`ScheduledTriangularSolver`.  On deep-wavefront factors this
+  trades ``n_levels`` device barriers for ``2·n_sweeps`` of them.
 
 :func:`repro.precond.engine.make_triangular_solver` chooses between the
 two from modeled cost.
@@ -33,7 +34,7 @@ import numpy as np
 
 from ..errors import NotTriangularError, ShapeError, SingularFactorError
 from ..graph.levels import LevelSchedule, level_schedule
-from ..graph.partition import RowPartition, partition_rows, split_partition
+from ..graph.partition import RowPartition, partition_rows, split_fences
 from ..sparse.csr import CSRMatrix
 from ..util import segment_sum_by_id
 
@@ -482,13 +483,17 @@ class PartitionedTriangularSolver:
     """Domain-decomposition triangular solver (arXiv 2508.04917 style).
 
     The inspector (:func:`repro.graph.partition.partition_rows`) fences
-    the factor into ``P`` contiguous-row diagonal sub-triangles ``T_p``
-    plus the off-diagonal coupling block ``C``.  :meth:`solve` first
-    solves every ``T_p x_p = b_p`` concurrently (round 0), then runs the
-    block-Jacobi correction loop: sweep *s* computes ``c = C x`` once
-    and refreshes every not-yet-exact partition with
-    ``x_p = T_p⁻¹ (b_p − c_p)``.  Partition *p* is exact after sweep
-    ``depth[p]`` (its level in the condensed partition DAG), so the loop
+    the factor into ``P`` contiguous-row diagonal sub-triangles plus the
+    off-diagonal coupling block ``C``; together the sub-triangles form
+    the block diagonal ``D`` (``tri = D + C``).  No edge of ``D``
+    crosses a fence, so its wavefront ``k`` is the union of every
+    partition's wavefront ``k`` and one :class:`ScheduledTriangularSolver`
+    over ``D`` sweeps all partitions at once — one vectorized
+    super-level per wavefront.  :meth:`solve` computes ``x = D⁻¹ b``
+    (round 0), then runs the block-Jacobi correction loop
+    ``x = D⁻¹ (b − C x)``.  Partition *p* is exact after sweep
+    ``depth[p]`` (its level in the condensed partition DAG) and an exact
+    partition reproduces itself bitwise in later sweeps, so the loop
     runs exactly ``n_sweeps = max(depth)`` times and the result equals
     the sequential substitution — no approximation is involved.
 
@@ -512,13 +517,14 @@ class PartitionedTriangularSolver:
         Optional precomputed :class:`~repro.graph.partition.RowPartition`.
     pivot_rtol:
         Relative pivot-rejection tolerance (``None`` = dtype eps),
-        applied globally across all partitions.
+        applied to ``D``'s diagonal — the factor's diagonal, so the
+        threshold is relative to the *global* largest pivot.
 
     Notes
     -----
-    With ``P = 1`` there is no coupling block and the single
-    sub-triangle is the whole factor, so :meth:`solve` is bitwise
-    identical to :class:`ScheduledTriangularSolver` on the same input.
+    With ``P = 1`` there is no coupling block and ``D`` is the whole
+    factor, so :meth:`solve` is bitwise identical to
+    :class:`ScheduledTriangularSolver` on the same input.
     """
 
     engine = "partitioned"
@@ -530,49 +536,26 @@ class PartitionedTriangularSolver:
         if kind not in ("lower", "upper"):
             raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
         n = _check_square(tri)
-        rid = np.repeat(np.arange(n, dtype=np.int64), tri.row_lengths())
-        if kind == "lower":
-            if np.any(tri.indices > rid):
-                raise NotTriangularError("entries above the diagonal")
-        else:
-            if np.any(tri.indices < rid):
-                raise NotTriangularError("entries below the diagonal")
+        # Coupling entries are not in D, so D's own check cannot see them.
+        rid = tri.row_ids()
+        if np.any(tri.indices > rid if kind == "lower"
+                  else tri.indices < rid):
+            side = "above" if kind == "lower" else "below"
+            raise NotTriangularError(f"entries {side} the diagonal")
         self.kind = kind
         self.unit_diagonal = bool(unit_diagonal)
         self.n = n
         self.dtype = tri.dtype
-        # Global pivot validation (threshold relative to the *global*
-        # largest pivot, matching the level-scheduled executor); the
-        # sub-solvers then run with rtol 0 so a locally-small but
-        # globally-acceptable pivot is not rejected twice.
-        if not self.unit_diagonal:
-            diag, present = _summed_diag(tri)
-            if not present.all():
-                row = int(np.flatnonzero(~present)[0])
-                raise SingularFactorError(row, 0.0)
-            thr = _pivot_threshold(tri.dtype,
-                                   float(np.abs(diag).max(initial=0.0)),
-                                   pivot_rtol)
-            bad = np.abs(diag) <= thr
-            if np.any(bad):
-                row = int(np.flatnonzero(bad)[0])
-                raise _pivot_error(row, float(diag[row]), thr)
         part = (partition if partition is not None
                 else partition_rows(tri, n_parts, kind=kind))
-        if part.n != n:
-            raise ShapeError("partition order does not match the matrix")
         if part.kind != kind:
             raise ValueError(f"partition was cut for kind={part.kind!r}, "
                              f"solver is {kind!r}")
         self.partition = part
-        subs, coupling = split_partition(tri, part)
-        self._solvers = [
-            ScheduledTriangularSolver(sub, kind=kind,
-                                      unit_diagonal=unit_diagonal,
-                                      pivot_rtol=0.0)
-            for sub in subs
-        ]
-        self._coupling = coupling
+        diag, self._coupling = split_fences(tri, part)
+        self._diag = ScheduledTriangularSolver(diag, kind=kind,
+                                               unit_diagonal=unit_diagonal,
+                                               pivot_rtol=pivot_rtol)
 
     # ------------------------------------------------------------------
     @property
@@ -587,7 +570,7 @@ class PartitionedTriangularSolver:
     @property
     def n_levels(self) -> int:
         """Longest sub-triangle wavefront chain (one round's depth)."""
-        return max((s.n_levels for s in self._solvers), default=0)
+        return self._diag.n_levels
 
     @property
     def n_exposed_syncs(self) -> int:
@@ -598,32 +581,37 @@ class PartitionedTriangularSolver:
     @property
     def nnz(self) -> int:
         """Off-diagonal + diagonal ops across all blocks per solve."""
-        return (sum(s.nnz for s in self._solvers)
-                + int(self._coupling.nnz))
+        return self._diag.nnz + int(self._coupling.nnz)
 
     def kernel_profile(self) -> tuple[np.ndarray, np.ndarray]:
-        """As-if-concurrent per-level ``(rows, nnz)`` profile.
+        """As-if-concurrent per-level ``(rows, nnz)`` profile: ``D``'s.
 
-        Sub-triangle wavefronts execute concurrently, so level *k* of
-        the merged profile aggregates level *k* of every partition.
-        This keeps generic consumers (experiment metrics, serving
-        estimators) working; the engine-aware cost model prices the
-        correction sweeps separately via :meth:`cost_args`.
+        Level *k* of ``D`` aggregates level *k* of every partition.  This
+        keeps generic consumers (experiment metrics, serving estimators)
+        working; the engine-aware cost model prices the correction
+        sweeps separately via :meth:`cost_args`.
         """
-        depth = self.n_levels
-        rows = np.zeros(depth, dtype=np.int64)
-        nnz = np.zeros(depth, dtype=np.int64)
-        for s in self._solvers:
-            r, z = s.kernel_profile()
-            rows[:r.shape[0]] += r
-            nnz[:z.shape[0]] += z
-        return rows, nnz
+        return self._diag.kernel_profile()
 
     def cost_args(self) -> dict:
         """Keyword arguments for
-        :func:`repro.machine.kernels.time_trisolve_partitioned`."""
+        :func:`repro.machine.kernels.time_trisolve_partitioned`.
+
+        ``profiles`` are the per-partition sweep profiles: partition
+        *p*'s rows of ``D``'s level *k* are level *k* of its own
+        sub-triangle, so grouping ``D``'s rows by (partition, level)
+        recovers them without re-scheduling.
+        """
+        d, n_levels = self._diag, self._diag.n_levels
+        key = (self.partition.part_of(d._rows) * n_levels
+               + d.schedule.level_of[d._rows])
+        size = self.n_parts * n_levels
+        rows = np.bincount(key, minlength=size).reshape(-1, n_levels)
+        ops = np.bincount(key, np.diff(d._seg_ptr) + 1, minlength=size)
+        ops = ops.astype(np.int64).reshape(rows.shape)
         return {
-            "profiles": [s.kernel_profile() for s in self._solvers],
+            "profiles": [(rows[p, :k], ops[p, :k])
+                         for p, k in enumerate((rows > 0).sum(axis=1))],
             "depth": self.partition.depth,
             "coupling_rows": self.partition.coupling_rows,
             "coupling_nnz": self.partition.coupling_nnz,
@@ -634,35 +622,18 @@ class PartitionedTriangularSolver:
               ) -> np.ndarray:
         """Solve the triangular system for *b* (``(n,)`` or ``(n, B)``).
 
-        Round 0 solves every diagonal block from ``b`` alone; each
-        correction sweep then computes one coupling product ``C x`` and
-        re-solves the partitions whose condensed-DAG depth has not been
-        reached yet.  The result matches the sequential substitution
-        exactly (see the class docstring).  *out* must not alias *b*.
+        Round 0 is ``x = D⁻¹ b``; each correction sweep computes one
+        coupling product ``C x`` and refreshes every partition at once
+        with ``x = D⁻¹ (b − C x)``.  The result matches the sequential
+        substitution exactly (see the class docstring).  *out* must not
+        alias *b*.
         """
         b = np.asarray(b)
-        if b.ndim == 2:
-            if b.shape[0] != self.n:
-                raise ShapeError(f"b must have shape ({self.n}, B), "
-                                 f"got {b.shape}")
-        elif b.shape != (self.n,):
-            raise ShapeError(f"b must have shape ({self.n},)")
-        dtype = np.result_type(self.dtype, b.dtype)
-        x = out if out is not None else np.empty(b.shape, dtype=dtype)
-        if x.shape != b.shape:
-            raise ShapeError(f"out must have shape {b.shape}")
-        fences = self.partition.fences
-        for p, solver in enumerate(self._solvers):
-            lo, hi = int(fences[p]), int(fences[p + 1])
-            solver.solve(b[lo:hi], out=x[lo:hi])
-        depth = self.partition.depth
-        for s in range(1, self.n_sweeps + 1):
+        x = self._diag.solve(b, out=out)
+        for _ in range(self.n_sweeps):
             c = (self._coupling.matvec(x) if x.ndim == 1
                  else self._coupling.matmat(x))
-            for p in np.flatnonzero(depth >= s):
-                lo, hi = int(fences[p]), int(fences[p + 1])
-                self._solvers[p].solve(b[lo:hi] - c[lo:hi],
-                                       out=x[lo:hi])
+            self._diag.solve(b - c, out=x)
         return x
 
     __call__ = solve

@@ -1,13 +1,18 @@
-"""Tests for ILU(0), ILU(K) and IC(0) against dense/SciPy oracles."""
+"""Tests for ILU(0), ILU(K) and IC(0) against dense/SciPy oracles, and
+one table over every two-sweep preconditioner (ILU(0), ILU(K), IC(0),
+ILUT, SSOR) × SpTRSV engine."""
 
 import numpy as np
 import pytest
 
 from repro.errors import (NotPositiveDefiniteError, SingularFactorError,
                           SparseFormatError, FillLimitExceeded)
-from repro.precond import (IC0Preconditioner, ILU0Preconditioner,
-                           ILUKPreconditioner, ic0, ilu0, iluk,
-                           iluk_symbolic)
+from repro.graph import level_schedule
+from repro.precond import (ENGINES, IC0Preconditioner, ILU0Preconditioner,
+                           ILUKPreconditioner, ILUTPreconditioner,
+                           SSORPreconditioner, ic0, ilu0, iluk,
+                           iluk_symbolic, solve_lower_sequential,
+                           solve_upper_sequential)
 from repro.sparse import CSRMatrix, random_spd, stencil_poisson_2d
 
 spla = pytest.importorskip("scipy.sparse.linalg")
@@ -213,3 +218,70 @@ class TestIC0:
         a = CSRMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(SparseFormatError):
             ic0(a)
+
+
+#: Every two-sweep preconditioner × the engines it takes (ILUT and SSOR
+#: always sweep with the level engine).
+TWO_SWEEP_CASES = ([(kind, engine) for kind in ("ilu0", "iluk", "ic0")
+                    for engine in ENGINES]
+                   + [("ilut", "levels"), ("ssor", "levels")])
+
+
+def _two_sweep(kind, a, engine):
+    if kind == "ilu0":
+        return ILU0Preconditioner(a, engine=engine)
+    if kind == "iluk":
+        return ILUKPreconditioner(a, k=1, engine=engine)
+    if kind == "ic0":
+        return IC0Preconditioner(a, engine=engine)
+    if kind == "ilut":
+        return ILUTPreconditioner(a, p=5)
+    return SSORPreconditioner(a, omega=1.2)
+
+
+def _sweep_operands(kind, m, a):
+    """``(lower, upper, unit_lower, scale)`` of ``M⁻¹ = U⁻¹ s L⁻¹``,
+    rebuilt from the public factors (SSOR's from the dense formula)."""
+    if kind in ("ilu0", "iluk", "ilut"):
+        return m.factors.lower, m.factors.upper, True, None
+    if kind == "ic0":
+        return m.factor, m.factor.transpose(), False, None
+    dense, w = a.to_dense(), m.omega
+    d = np.diag(dense)
+    return (CSRMatrix.from_dense(np.tril(dense, -1) + np.diag(d / w)),
+            CSRMatrix.from_dense(np.triu(dense, 1) + np.diag(d / w)),
+            False, d * (2.0 - w) / w ** 2)
+
+
+class TestTwoSweepPreconditioners:
+    @pytest.mark.parametrize("kind,engine", TWO_SWEEP_CASES)
+    def test_metadata_comes_from_factors(self, poisson16, kind, engine):
+        # apply_levels is the factors' wavefront count whatever engine
+        # runs the sweeps (a partitioned sub-triangle is shallower).
+        m = _two_sweep(kind, poisson16, engine)
+        lower, upper, unit, scale = _sweep_operands(kind, m, poisson16)
+        assert m.apply_levels() == (
+            level_schedule(lower, kind="lower").n_levels,
+            level_schedule(upper, kind="upper").n_levels)
+        n = poisson16.n_rows
+        assert m.apply_nnz() == (lower.nnz + upper.nnz + (n if unit else 0)
+                                 + (n if scale is not None else 0))
+        assert m.value_dtype == lower.dtype
+
+    @pytest.mark.parametrize("kind,engine", TWO_SWEEP_CASES)
+    def test_apply_matches_sequential_oracle(self, poisson16, make_rng,
+                                             kind, engine):
+        m = _two_sweep(kind, poisson16, engine)
+        lower, upper, unit, scale = _sweep_operands(kind, m, poisson16)
+        rng = make_rng(60)
+        r = rng.standard_normal(poisson16.n_rows)
+        y = solve_lower_sequential(lower, r, unit_diagonal=unit)
+        if scale is not None:
+            y = y * scale
+        np.testing.assert_allclose(m.apply(r),
+                                   solve_upper_sequential(upper, y),
+                                   rtol=1e-12, atol=1e-12)
+        block = rng.standard_normal((poisson16.n_rows, 3))
+        z = m.apply(block)
+        for j in range(3):
+            np.testing.assert_array_equal(z[:, j], m.apply(block[:, j]))
